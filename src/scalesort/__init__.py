@@ -24,8 +24,6 @@ from .core import (
     UnknownElementError,
     UnsupportedScaleError,
     equivalent_up_to_ambiguity,
-    evaluate_query,
-    scale_properties,
 )
 from .online import (
     eliminate_candidates,

@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .core import HiddenOrder, Oracle, ScaleError, ScaleSpec
+from .core import HiddenOrder, ScaleError, ScaleSpec
 from . import harness, offline_adjacency, offline_recursive
 
 
@@ -65,21 +65,17 @@ def _cmd_sort_offline(args) -> int:
     return _emit_report(report, args.timing)
 
 
+# Each offline algorithm: its (n, spec) -> plan and (plan, answers) -> SortResult.
+OFFLINE = {
+    "adjacency": (offline_adjacency.build_adjacency_plan, offline_adjacency.solve_from_results),
+    "recursive": (offline_recursive.recursive_plan, offline_recursive.solve_from_results),
+}
+
+
 def _cmd_plan(args) -> int:
     spec = ScaleSpec.parse(args.scale)
-    if args.algo == "adjacency":
-        plan = offline_adjacency.build_adjacency_plan(args.n, spec)
-        queries = [sorted(q) for q in plan.queries()]
-    else:
-        k, t = spec.k, spec.outputs[0]
-        t_eff = min(t, k + 1 - t)
-        if t_eff == 1:
-            import itertools
-            queries = [list(c) for c in itertools.combinations(range(args.n), k)]
-        else:
-            rplan = offline_recursive.build_recursive_plan(args.n, k, t_eff)
-            queries = [sorted(q) for q in rplan.closure_queries]
-            queries += [sorted(q) for _, q in rplan.iter_fan_queries()]
+    build, _ = OFFLINE[args.algo]
+    queries = [sorted(q) for q in build(args.n, spec).queries()]
     doc = {"algo": args.algo, "spec": spec.text, "n": args.n, "queries": queries}
     payload = json.dumps(doc, sort_keys=True)
     if args.out:
@@ -90,25 +86,48 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _result_entries(doc: dict) -> dict[frozenset[int], frozenset[int]]:
-    return {frozenset(e["query"]): frozenset(e["outcome"]) for e in doc["results"]}
+def _load_results(path: str) -> tuple[str, ScaleSpec, int, dict[frozenset[int], frozenset[int]]]:
+    """Read and check a results file: algo, spec, n and the answered queries."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ScaleError(f"results file is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ScaleError("results file must hold a JSON object")
+    algo, text, n, entries = (doc.get(key) for key in ("algo", "spec", "n", "results"))
+    if algo not in OFFLINE:
+        raise ScaleError(f"unknown algo {algo!r}; expected one of {sorted(OFFLINE)}")
+    if not isinstance(text, str):
+        raise ScaleError('spec must be a string such as "4:2"')
+    spec = ScaleSpec.parse(text)
+    if type(n) is not int:
+        raise ScaleError("n must be an integer")
+    if not isinstance(entries, list):
+        raise ScaleError("results must be a list of {query, outcome} records")
+    ids = frozenset(range(n))
+    answers: dict[frozenset[int], frozenset[int]] = {}
+    for i, entry in enumerate(entries):
+        try:
+            query, outcome = frozenset(entry["query"]), frozenset(entry["outcome"])
+        except (KeyError, TypeError) as exc:
+            raise ScaleError(f"results[{i}] needs 'query' and 'outcome' lists") from exc
+        if len(query) != spec.k or not query <= ids:
+            raise ScaleError(f"results[{i}]: query must hold {spec.k} distinct ids in [0, {n})")
+        if len(outcome) != spec.s or not outcome <= query:
+            raise ScaleError(f"results[{i}]: outcome must be {spec.s} ids of its query")
+        answers[query] = outcome
+    return algo, spec, n, answers
 
 
 def _cmd_solve(args) -> int:
-    with open(args.results) as fh:
-        doc = json.load(fh)
-    spec = ScaleSpec.parse(doc["spec"])
-    n = int(doc["n"])
-    answers = _result_entries(doc)
-    if doc["algo"] == "adjacency":
-        plan = offline_adjacency.build_adjacency_plan(n, spec)
-        result = offline_adjacency.solve_from_results(plan, answers)
-    else:
-        result = _solve_recursive(spec, n, answers)
+    algo, spec, n, answers = _load_results(args.results)
+    build, solve = OFFLINE[algo]
+    result = solve(build(n, spec), answers)
     out = {
         "spec": spec.text,
         "n": n,
-        "algorithm": f"offline_{doc['algo']}",
+        "algorithm": f"offline_{algo}",
         "middle": list(result.middle),
         "small_segment": sorted(result.s_set),
         "large_segment": sorted(result.l_set),
@@ -117,37 +136,6 @@ def _cmd_solve(args) -> int:
     }
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0
-
-
-def _solve_recursive(spec: ScaleSpec, n: int,
-                     answers: dict[frozenset[int], frozenset[int]]):
-    from .core import SortResult, mirror_result
-    from .offline_recursive import (KnowledgeBase, ReplayOracle,
-                                    build_recursive_plan, order_superset,
-                                    plan_size_formula)
-    from .online import singleton_sort
-    k, t = spec.k, spec.outputs[0]
-    if t > (k + 1) / 2:
-        # Outcome sets are identical under the mirrored reading, so the same
-        # answers solve the mirrored instrument; reverse at the end.
-        return mirror_result(_solve_recursive(spec.mirrored(), n, answers))
-    if t == 1:
-        kb = KnowledgeBase(spec, dict(answers), chain=())
-        used = len(answers)
-    else:
-        plan = build_recursive_plan(n, k, t)
-        closure = {}
-        for q in plan.closure_queries:
-            fs = frozenset(q)
-            if fs not in answers:
-                raise ScaleError(f"missing answer for plan query {sorted(fs)}")
-            closure[fs] = answers[fs]
-        chain, below, above, free = order_superset(closure, plan.superset, spec)
-        kb = KnowledgeBase(spec, dict(answers), chain, below, above, free)
-        used = plan_size_formula(n, k, t)
-    replay = ReplayOracle(spec, n, kb)
-    res = singleton_sort(replay)
-    return SortResult(res.middle, res.s_set, res.l_set, res.orientation, used)
 
 
 def _cmd_verify(args) -> int:
@@ -219,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sort_online)
 
     p = sub.add_parser("sort-offline", help="run an offline algorithm")
-    p.add_argument("--algo", choices=("adjacency", "recursive"), required=True)
+    p.add_argument("--algo", choices=tuple(OFFLINE), required=True)
     _order_args(p)
     p.set_defaults(func=_cmd_sort_offline)
 
     p = sub.add_parser("plan", help="export an offline query plan")
-    p.add_argument("--algo", choices=("adjacency", "recursive"), required=True)
+    p.add_argument("--algo", choices=tuple(OFFLINE), required=True)
     p.add_argument("--scale", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None, help="output file (default: stdout)")

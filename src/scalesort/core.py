@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 RESOLVED = "resolved"
 REFLECTION_AMBIGUOUS = "reflection_ambiguous"
@@ -139,18 +139,6 @@ class ScaleSpec:
 
     def __str__(self) -> str:
         return self.text
-
-
-class ScaleProperties(NamedTuple):
-    s_size: int
-    l_size: int
-    is_symmetric: bool
-    k_prime: int
-
-
-def scale_properties(spec: ScaleSpec) -> ScaleProperties:
-    """Segment sizes, symmetry, and reduced arity of an instrument."""
-    return ScaleProperties(spec.s_size, spec.l_size, spec.is_symmetric, spec.k_prime)
 
 
 @dataclass(frozen=True)
@@ -271,9 +259,9 @@ class Oracle:
         return transcript_to_json(self._transcript, self.n, self._spec)
 
 
-def evaluate_query(oracle: Oracle, query: Iterable[int]) -> frozenset[int]:
-    """Evaluate one query through the oracle (records and counts it)."""
-    return oracle.query(query)
+def answer_plan(oracle, plan) -> dict[frozenset[int], frozenset[int]]:
+    """Submit every query of a one-shot plan, in plan order; returns the answer map."""
+    return {q: oracle.query(sorted(q)) for q in plan.queries()}
 
 
 class MirroredOracle:
@@ -334,10 +322,6 @@ class SortResult:
         object.__setattr__(self, "l_set", frozenset(self.l_set))
         if self.orientation not in (RESOLVED, REFLECTION_AMBIGUOUS):
             raise ScaleError(f"unknown orientation {self.orientation!r}")
-
-    def reflected(self) -> "SortResult":
-        return SortResult(tuple(reversed(self.middle)), self.l_set, self.s_set,
-                          self.orientation, self.queries_used)
 
 
 def mirror_result(result: SortResult) -> SortResult:

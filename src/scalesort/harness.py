@@ -17,12 +17,12 @@ on (spec, n, seed, algorithm) before serialization.
 
 from __future__ import annotations
 
+import csv
 import io
 import itertools
 import json
 import time
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Sequence
 
 from .core import (
@@ -145,12 +145,7 @@ def algorithm_bound(algorithm: str, n: int, spec: ScaleSpec) -> int | None:
     if algorithm == "offline_adjacency":
         return offline_adjacency.plan_size_formula(n, spec)
     if algorithm == "offline_recursive":
-        k = spec.k
-        t = spec.outputs[0]
-        t_eff = min(t, k + 1 - t)
-        if t_eff == 1:
-            return comb(n, k)
-        return offline_recursive.plan_size_formula(n, k, t_eff)
+        return offline_recursive.recursive_plan(n, spec).physical_size
     raise PreconditionError(f"unknown algorithm {algorithm!r}")
 
 
@@ -262,7 +257,8 @@ def bench_sweep(spec: ScaleSpec, n_list: Sequence[int], trials: int,
 
 def rows_to_csv(rows: Sequence[dict]) -> str:
     buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for row in rows:
         cells = []
         for col in CSV_COLUMNS:
@@ -277,7 +273,7 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
                 cells.append("true" if value else "false")
             else:
                 cells.append(str(value))
-        buf.write(",".join(cells) + "\n")
+        writer.writerow(cells)
     return buf.getvalue()
 
 

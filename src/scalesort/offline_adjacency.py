@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     RESOLVED,
@@ -27,9 +27,9 @@ from .core import (
     InconsistentAnswersError,
     Oracle,
     PreconditionError,
-    ScaleError,
     ScaleSpec,
     SortResult,
+    answer_plan,
 )
 
 
@@ -39,9 +39,6 @@ class Fan:
 
     reference: frozenset[int]
     free_sets: tuple[frozenset[int], ...]
-
-    def queries(self) -> list[frozenset[int]]:
-        return [self.reference | free for free in self.free_sets]
 
 
 @dataclass(frozen=True)
@@ -61,11 +58,17 @@ class QueryPlan:
     def size(self) -> int:
         return sum(len(fan.free_sets) for fan in self.fans)
 
-    def queries(self) -> list[frozenset[int]]:
-        out: list[frozenset[int]] = []
+    def queries(self) -> Iterator[frozenset[int]]:
+        """Every plan query, fan by fan, in issue order."""
         for fan in self.fans:
-            out.extend(fan.queries())
-        return out
+            for free in fan.free_sets:
+                yield fan.reference | free
+
+    @classmethod
+    def exhaustive(cls, n: int, spec: ScaleSpec) -> "QueryPlan":
+        """All C(n, k) queries under a single empty reference set."""
+        free = tuple(frozenset(c) for c in itertools.combinations(range(n), spec.k))
+        return cls(n, spec, 0, (Fan(frozenset(), free),))
 
 
 def _reference_size(spec: ScaleSpec) -> int:
@@ -98,8 +101,7 @@ def build_adjacency_plan(n: int, spec: ScaleSpec) -> QueryPlan:
     k = spec.k
     rho = _reference_size(spec)
     if rho == 0:
-        free = tuple(frozenset(c) for c in itertools.combinations(range(n), k))
-        return QueryPlan(n, spec, 0, (Fan(frozenset(), free),))
+        return QueryPlan.exhaustive(n, spec)
     if n < 3 * rho + (k - rho) + 1:
         raise PreconditionError(
             f"n={n} too small for three disjoint reference sets of size {rho}")
@@ -110,16 +112,6 @@ def build_adjacency_plan(n: int, spec: ScaleSpec) -> QueryPlan:
         free = tuple(frozenset(c) for c in itertools.combinations(rest, k - rho))
         fans.append(Fan(ref, free))
     return QueryPlan(n, spec, rho, tuple(fans))
-
-
-def answer_plan(oracle: Oracle, plan: QueryPlan) -> dict[frozenset[int], frozenset[int]]:
-    """Submit every plan query to the oracle; returns the answer map."""
-    results: dict[frozenset[int], frozenset[int]] = {}
-    for fan in plan.fans:
-        for free in fan.free_sets:
-            q = fan.reference | free
-            results[q] = oracle.query(sorted(q))
-    return results
 
 
 class AdjacencyMap:
@@ -183,12 +175,10 @@ def eliminate_nonadjacent(plan: QueryPlan,
     position in the sibling.
     """
     support: set[int] = set()
-    for fan in plan.fans:
-        for free in fan.free_sets:
-            q = fan.reference | free
-            if q not in results:
-                raise InconsistentAnswersError(f"missing answer for plan query {sorted(q)}")
-            support.update(results[q])
+    for q in plan.queries():
+        if q not in results:
+            raise InconsistentAnswersError(f"missing answer for plan query {sorted(q)}")
+        support.update(results[q])
     adj = AdjacencyMap(support)
     for fan in plan.fans:
         buckets: dict[frozenset[int], list[int]] = {}
@@ -283,22 +273,16 @@ def rebuild_order(adj: AdjacencyMap,
         f"{len(consistent)} orderings match the answers; ambiguity beyond reflection")
 
 
-def adjacency_sort(oracle: Oracle) -> SortResult:
-    """Full offline pipeline: plan, answer, eliminate, rebuild."""
-    plan = build_adjacency_plan(oracle.n, oracle.spec)
-    start = oracle.query_count
-    results = answer_plan(oracle, plan)
-    used = oracle.query_count - start
-    adj = eliminate_nonadjacent(plan, results)
-    entries = [(tuple(sorted(q)), tuple(sorted(o))) for q, o in results.items()]
-    res = rebuild_order(adj, entries, oracle.spec)
-    return SortResult(res.middle, res.s_set, res.l_set, res.orientation, used)
-
-
 def solve_from_results(plan: QueryPlan,
                        results: Mapping[frozenset[int], frozenset[int]]) -> SortResult:
-    """Reconstruct the order from externally supplied answers to a plan."""
+    """Eliminate, then rebuild the order from the answers to every plan query."""
     adj = eliminate_nonadjacent(plan, results)
     entries = [(tuple(sorted(q)), tuple(sorted(o))) for q, o in results.items()]
     res = rebuild_order(adj, entries, plan.spec)
     return SortResult(res.middle, res.s_set, res.l_set, res.orientation, plan.size)
+
+
+def adjacency_sort(oracle: Oracle) -> SortResult:
+    """Full offline pipeline: plan, answer, eliminate, rebuild."""
+    plan = build_adjacency_plan(oracle.n, oracle.spec)
+    return solve_from_results(plan, answer_plan(oracle, plan))

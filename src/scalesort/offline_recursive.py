@@ -24,16 +24,16 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
-    MirroredOracle,
     PreconditionError,
     InconsistentAnswersError,
     ScaleError,
     ScaleSpec,
     SortResult,
     UnsupportedScaleError,
+    answer_plan,
     mirror_result,
 )
 from . import online
@@ -298,11 +298,18 @@ def deduce_query(kb: KnowledgeBase, q: Iterable[int]) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class RecursivePlan:
-    """Superset closure plus one fan per (t-1)-subset of the superset."""
+    """Superset closure plus one fan per (t-1)-subset of the superset.
+
+    spec is the instrument as the plan reads it, with t <= (k+1)/2.  When
+    mirrored is set, the physical instrument is its mirror image (k+1-t):
+    that instrument answers every query with the same set, so only the
+    solved order is reversed.
+    """
 
     n: int
     spec: ScaleSpec
     superset: tuple[int, ...]
+    mirrored: bool
 
     @property
     def closure_queries(self) -> list[tuple[int, ...]]:
@@ -320,23 +327,45 @@ class RecursivePlan:
             for free in itertools.combinations(rest, k - t + 1):
                 yield ref, ref + free
 
+    def queries(self) -> Iterator[frozenset[int]]:
+        """Every plan query in issue order: the closure, then each fan."""
+        for q in self.closure_queries:
+            yield frozenset(q)
+        for _, q in self.iter_fan_queries():
+            yield frozenset(q)
+
     @property
     def physical_size(self) -> int:
-        k, t, n = self.spec.k, self.spec.outputs[0], self.n
-        return comb(k + t - 2, k) + comb(k + t - 2, t - 1) * comb(n - t + 1, k - t + 1)
+        return plan_size_formula(self.n, self.spec.k, self.spec.outputs[0])
 
 
 def plan_size_formula(n: int, k: int, t: int) -> int:
     return comb(k + t - 2, k) + comb(k + t - 2, t - 1) * comb(n - t + 1, k - t + 1)
 
 
-def build_recursive_plan(n: int, k: int, t: int) -> RecursivePlan:
-    if not 2 <= t <= (k + 1) / 2:
-        raise PreconditionError(f"plan needs 2 <= t <= (k+1)/2, got t={t} k={k}")
+def recursive_plan(n: int, spec: ScaleSpec) -> RecursivePlan:
+    """The one-shot plan of a singleton instrument.
+
+    An instrument with t > (k+1)/2 is planned as its mirror image.  A
+    minimum instrument (t = 1) has no reference chain to order: its
+    superset is empty and its one fan, with an empty reference, is every
+    one of the C(n, k) queries.
+    """
+    if spec.s != 1:
+        raise UnsupportedScaleError("the recursive plan requires a singleton instrument")
+    mirrored = spec.outputs[0] > (spec.k + 1) / 2
+    if mirrored:
+        spec = spec.mirrored()
+    k, t = spec.k, spec.outputs[0]
     if n <= 2 * k:
-        raise PreconditionError(f"plan needs n > 2k, got n={n} k={k}")
-    spec = ScaleSpec(k, (t,))
-    return RecursivePlan(n, spec, tuple(range(k + t - 2)))
+        raise PreconditionError(f"the recursive plan needs n > 2k, got n={n} k={k}")
+    superset = tuple(range(k + t - 2)) if t > 1 else ()
+    return RecursivePlan(n, spec, superset, mirrored)
+
+
+def build_recursive_plan(n: int, k: int, t: int) -> RecursivePlan:
+    """recursive_plan of the (k, t) instrument."""
+    return recursive_plan(n, ScaleSpec(k, (t,)))
 
 
 def order_superset(closure_results: Mapping[frozenset[int], frozenset[int]],
@@ -428,49 +457,29 @@ class ReplayOracle:
         return out
 
 
-def recursive_sort(oracle, t2_shortcut: bool = False) -> SortResult:
-    """One-shot plan, deduction, and an adaptive replay over the answers.
+def solve_from_results(plan: RecursivePlan,
+                       results: Mapping[frozenset[int], frozenset[int]]) -> SortResult:
+    """Order the superset from the closure answers, then replay the adaptive
+    algorithm against deduction from every answer.
 
     queries_used counts physical plan entries (overlapping fans resubmit
-    their shared queries).  With t2_shortcut and t = 2, a single fixed
-    element's fan replaces the generic plan; this smaller plan cannot settle
-    the k = 2t tie and is therefore optional.
+    their shared queries).
     """
-    spec = oracle.spec
-    if spec.s != 1:
-        raise UnsupportedScaleError("recursive_sort requires a singleton instrument")
-    k, t = spec.k, spec.outputs[0]
-    if t > (k + 1) / 2:
-        return mirror_result(recursive_sort(MirroredOracle(oracle), t2_shortcut))
-    n = oracle.n
-    if n <= 2 * k:
-        raise PreconditionError(f"recursive_sort needs n > 2k, got n={n} k={k}")
+    spec = plan.spec
+    closure: dict[frozenset[int], frozenset[int]] = {}
+    for q in plan.closure_queries:
+        fs = frozenset(q)
+        if fs not in results:
+            raise InconsistentAnswersError(f"missing answer for plan query {sorted(fs)}")
+        closure[fs] = results[fs]
+    chain, below, above, free = order_superset(closure, plan.superset, spec)
+    kb = KnowledgeBase(spec, results, chain, below, above, free)
+    res = online.singleton_sort(ReplayOracle(spec, plan.n, kb))
+    res = SortResult(res.middle, res.s_set, res.l_set, res.orientation, plan.physical_size)
+    return mirror_result(res) if plan.mirrored else res
 
-    if t == 1:
-        known: dict[frozenset[int], frozenset[int]] = {}
-        for combo in itertools.combinations(range(n), k):
-            known[frozenset(combo)] = oracle.query(combo)
-        kb = KnowledgeBase(spec, known, chain=())
-        used = comb(n, k)
-    elif t2_shortcut and t == 2:
-        known = {}
-        for free in itertools.combinations(range(1, n), k - 1):
-            q = (0,) + free
-            known[frozenset(q)] = oracle.query(q)
-        kb = KnowledgeBase(spec, known, chain=(0,))
-        used = comb(n - 1, k - 1)
-    else:
-        plan = build_recursive_plan(n, k, t)
-        closure_results: dict[frozenset[int], frozenset[int]] = {}
-        for q in plan.closure_queries:
-            closure_results[frozenset(q)] = oracle.query(q)
-        known = dict(closure_results)
-        for _, q in plan.iter_fan_queries():
-            known[frozenset(q)] = oracle.query(q)
-        chain, below, above, free = order_superset(closure_results, plan.superset, spec)
-        kb = KnowledgeBase(spec, known, chain, below, above, free)
-        used = plan.physical_size
 
-    replay = ReplayOracle(spec, n, kb)
-    res = online.singleton_sort(replay)
-    return SortResult(res.middle, res.s_set, res.l_set, res.orientation, used)
+def recursive_sort(oracle) -> SortResult:
+    """One-shot plan, deduction, and an adaptive replay over the answers."""
+    plan = recursive_plan(oracle.n, oracle.spec)
+    return solve_from_results(plan, answer_plan(oracle, plan))

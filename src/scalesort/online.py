@@ -30,6 +30,7 @@ from .core import (
     ScaleSpec,
     SortResult,
     UnsupportedScaleError,
+    answer_plan,
     mirror_result,
 )
 from . import offline_adjacency
@@ -284,19 +285,8 @@ def _small_pool_sort(oracle) -> SortResult:
     Every possible query is evaluated and the order is reconstructed from
     the complete answer table by adjacency elimination.
     """
-    n, spec = oracle.n, oracle.spec
-    start = oracle.query_count
-    plan = offline_adjacency.QueryPlan(
-        n, spec, 0,
-        (offline_adjacency.Fan(
-            frozenset(),
-            tuple(frozenset(c) for c in itertools.combinations(range(n), spec.k))),))
-    results = offline_adjacency.answer_plan(oracle, plan)
-    used = oracle.query_count - start
-    adj = offline_adjacency.eliminate_nonadjacent(plan, results)
-    entries = [(tuple(sorted(q)), tuple(sorted(o))) for q, o in results.items()]
-    res = offline_adjacency.rebuild_order(adj, entries, spec)
-    return SortResult(res.middle, res.s_set, res.l_set, res.orientation, used)
+    plan = offline_adjacency.QueryPlan.exhaustive(oracle.n, oracle.spec)
+    return offline_adjacency.solve_from_results(plan, answer_plan(oracle, plan))
 
 
 def singleton_sort(oracle) -> SortResult:

@@ -1,5 +1,7 @@
 """CLI surface tests: subcommands, two-phase plan/solve, exit codes."""
 
+import csv
+import io
 import itertools
 import json
 
@@ -7,6 +9,10 @@ import pytest
 
 from scalesort.cli import main
 from scalesort.core import HiddenOrder, Oracle, ScaleSpec
+from scalesort.offline_adjacency import adjacency_sort
+from scalesort.offline_recursive import recursive_sort
+
+SORTS = {"adjacency": adjacency_sort, "recursive": recursive_sort}
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +88,9 @@ def test_explicit_order_file(tmp_path, capsys):
     ("adjacency", "4:2", 11),
     ("recursive", "4:2", 11),
     ("recursive", "4:3", 11),   # mirrored form: same plan, reversed reading
+    ("recursive", "4:1", 9),    # minimum instrument: every query, no chain
+    ("recursive", "4:4", 9),    # mirrored minimum instrument
+    ("adjacency", "3:1", 9),    # rho = 0: every query under an empty reference
 ])
 def test_plan_then_solve_round_trip(tmp_path, capsys, algo, spec_text, n):
     plan_path = tmp_path / "plan.json"
@@ -107,6 +116,46 @@ def test_plan_then_solve_round_trip(tmp_path, capsys, algo, spec_text, n):
     assert doc["small_segment"] == sorted(ranked[:spec.s_size])
     assert doc["queries_used"] == len(plan_doc["queries"])
 
+    # The library sorts through the same plan and the same solve.
+    in_process = Oracle(order, spec)
+    res = SORTS[algo](in_process)
+    assert plan_doc["queries"] == [list(q) for q, _ in in_process.transcript]
+    assert doc["middle"] == list(res.middle)
+    assert doc["small_segment"] == sorted(res.s_set)
+    assert doc["large_segment"] == sorted(res.l_set)
+    assert doc["orientation"] == res.orientation
+    assert doc["queries_used"] == res.queries_used
+
+
+_ANSWERED = {"algo": "adjacency", "spec": "3:2", "n": 9,
+             "results": [{"query": [0, 1, 2], "outcome": [1]}]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ("not json", "not JSON"),
+    ([], "JSON object"),
+    ({**_ANSWERED, "results": None}, "results must be a list"),
+    ({k: v for k, v in _ANSWERED.items() if k != "results"}, "results must be a list"),
+    ({**_ANSWERED, "algo": "bogus"}, "unknown algo"),
+    ({**_ANSWERED, "spec": 32}, "spec must be a string"),
+    ({**_ANSWERED, "spec": "3"}, "cannot parse scale spec"),
+    ({**_ANSWERED, "n": "9"}, "n must be an integer"),
+    ({**_ANSWERED, "results": [[0, 1, 2]]}, "results[0] needs"),
+    ({**_ANSWERED, "results": [{"query": [0, 1, 2]}]}, "results[0] needs"),
+    ({**_ANSWERED, "results": [{"query": 7, "outcome": [1]}]}, "results[0] needs"),
+    ({**_ANSWERED, "results": [{"query": [0, 1, 1], "outcome": [1]}]}, "query must hold"),
+    ({**_ANSWERED, "results": [{"query": [0, 1, 9], "outcome": [1]}]}, "query must hold"),
+    ({**_ANSWERED, "results": [{"query": ["0", "1", "2"], "outcome": [1]}]}, "query must hold"),
+    ({**_ANSWERED, "results": [{"query": [0, 1, 2], "outcome": [3]}]}, "outcome must be"),
+    ({**_ANSWERED, "results": [{"query": [0, 1, 2], "outcome": [0, 1]}]}, "outcome must be"),
+])
+def test_solve_rejects_malformed_results(tmp_path, capsys, doc, message):
+    path = tmp_path / "results.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", "--results", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
 
 def test_lower_bound(capsys):
     code, out, _ = run_cli(capsys, "lower-bound", "--scale", "3:2", "--n", "10")
@@ -124,6 +173,15 @@ def test_bench_csv(tmp_path, capsys):
     assert lines[0] == "spec,n,seed,algorithm,queries_used,bound,ratio,correct,millis"
     assert len(lines) == 1 + 2 * 2 * 2
     assert all(line.endswith(",") for line in lines[1:])  # millis empty by default
+
+
+def test_bench_csv_quotes_multi_output_spec(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--scale", "5:2,4", "--n-list", "12")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1
+    assert rows[0]["spec"] == "5:2,4"
+    assert (rows[0]["n"], rows[0]["seed"], rows[0]["algorithm"]) == ("12", "0", "online")
 
 
 def test_verify_small(capsys):

@@ -21,8 +21,6 @@ from scalesort.core import (
     SortResult,
     UnknownElementError,
     equivalent_up_to_ambiguity,
-    evaluate_query,
-    scale_properties,
     transcript_from_json,
     transcript_to_json,
 )
@@ -52,7 +50,8 @@ class TestScaleSpec:
         ((5), (2, 4), (1, 1, True, 2)),   # reflection set {6-2, 6-4} = {4, 2}
     ])
     def test_scale_properties(self, k, outputs, expected):
-        assert tuple(scale_properties(ScaleSpec(k, outputs))) == expected
+        spec = ScaleSpec(k, outputs)
+        assert (spec.s_size, spec.l_size, spec.is_symmetric, spec.k_prime) == expected
 
     @pytest.mark.parametrize("text,bottom,top", [
         ("5:1,2", 2, 0),
@@ -97,7 +96,7 @@ class TestEvaluateQuery:
         # Identity order on 8 elements; the full arity-7 query reports the
         # elements at in-query ranks 2 and 6.
         oracle = Oracle(HiddenOrder.identity(8), ScaleSpec(7, (2, 6)))
-        assert evaluate_query(oracle, range(7)) == {1, 5}
+        assert oracle.query(range(7)) == {1, 5}
 
     def test_minimum_scale_returns_smallest(self):
         oracle = Oracle(HiddenOrder((3, 1, 2, 4), ), ScaleSpec(3, (1,)))

@@ -226,41 +226,6 @@ class TestPlanAndSort:
         assert res.queries_used == plan_size_formula(11, 4, 2)
         assert equivalent_up_to_ambiguity(res, order, spec)
 
-    def test_t2_shortcut(self):
-        spec = ScaleSpec(5, (2,))
-        order = HiddenOrder.identity(12)
-        oracle = Oracle(order, spec)
-        res = recursive_sort(oracle, t2_shortcut=True)
-        assert res.queries_used == comb(11, 4)
-        assert equivalent_up_to_ambiguity(res, order, spec)
-
-    @pytest.mark.parametrize("k,n", [(3, 9), (5, 12)])
-    def test_t2_shortcut_seeded(self, k, n):
-        spec = ScaleSpec(k, (2,))
-        for seed in range(8):
-            order = HiddenOrder.from_seed(n, seed)
-            oracle = Oracle(order, spec)
-            res = recursive_sort(oracle, t2_shortcut=True)
-            assert equivalent_up_to_ambiguity(res, order, spec)
-
-    def test_t2_shortcut_k4_sound_or_refuses(self):
-        # With k = 2t the single fixed element cannot always break the tied
-        # response signature; the shortcut then refuses rather than guess.
-        spec = ScaleSpec(4, (2,))
-        outcomes = {"ok": 0, "refused": 0}
-        for seed in range(12):
-            order = HiddenOrder.from_seed(10, seed)
-            oracle = Oracle(order, spec)
-            try:
-                res = recursive_sort(oracle, t2_shortcut=True)
-            except DeductionError:
-                outcomes["refused"] += 1
-                continue
-            assert equivalent_up_to_ambiguity(res, order, spec)
-            outcomes["ok"] += 1
-        assert outcomes["ok"] + outcomes["refused"] == 12
-        assert outcomes["refused"] > 0  # the limitation is real
-
     def test_needs_room(self):
         oracle = Oracle(HiddenOrder.identity(6), ScaleSpec(3, (2,)))
         with pytest.raises(PreconditionError):
