@@ -13,8 +13,7 @@ they form the bottom end block.  A run k-j+1..k likewise makes the j
 largest elements the top end block.  A symmetric instrument (output
 positions invariant under i -> k+1-i) additionally cannot tell an ordering
 from its reflection.  With n > 2k, brute force over every complete answer
-set (k <= 4, n = 2k+1) finds no other ambiguity, except for the degenerate
-instrument reporting all k positions, whose answers determine nothing.
+set (k <= 4, n = 2k+1) finds no other ambiguity.
 
 The Oracle is single-writer: each evaluation mutates the query counter and
 transcript, so one oracle must not be shared by concurrent queriers.
@@ -81,6 +80,9 @@ class ScaleSpec:
             raise ScaleError("output positions must be strictly increasing")
         if self.outputs[0] < 1 or self.outputs[-1] > self.k:
             raise ScaleError("output positions must lie in [1, k]")
+        if len(self.outputs) == self.k:
+            raise ScaleError("an instrument reporting all k positions answers every query"
+                             " with the query itself, which determines no order")
 
     @property
     def s(self) -> int:

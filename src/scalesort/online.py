@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import (
     MirroredOracle,
@@ -42,10 +43,9 @@ UNKNOWN = "unknown"
 
 @dataclass
 class CandidateState:
-    """Pool of elements still possibly extreme, plus the elimination order."""
+    """Pool of elements still possibly extreme."""
 
     candidates: set[int]
-    eliminated: list[int]
 
 
 @dataclass
@@ -54,42 +54,62 @@ class EliminationStats:
     refinement_queries: int = 0
 
 
+def _lowest_k_sweep(oracle, pool: Iterable[int], universe: Iterable[int], target: int,
+                    keep_answered: bool) -> set[int]:
+    """Shrink `pool` to `target` members by querying its k lowest-labeled members.
+
+    Each query leaves in the pool its answered members (keep-elimination)
+    or its unanswered ones; once fewer than k are left, it is topped up with
+    the lowest-labeled elements of `universe` outside the pool.  A topped-up
+    query that changes nothing ends the sweep; a full one contradicts every
+    order.  Invariant: the pool is `head` plus `pending[nxt:]`; `head` holds
+    the survivors of the previous query, the lowest-labeled members left,
+    and `pending[nxt:]` the untouched tail, so the pool is sorted only once.
+    """
+    k = oracle.spec.k
+    pending = sorted(pool)
+    head = pending[:k]
+    nxt = len(head)
+    while len(head) + len(pending) - nxt > target:
+        q = head
+        if len(head) < k:
+            fillers = sorted(set(universe) - set(head))[:k - len(head)]
+            if len(head) + len(fillers) < k:
+                raise PreconditionError("not enough discarded elements to fill a query")
+            q = head + fillers
+        out = oracle.query(q)
+        kept = [e for e in head if (e in out) == keep_answered]
+        if len(kept) == len(head):
+            if len(head) == k:
+                raise InconsistentAnswersError(
+                    f"query {q} of k pool members left the pool unchanged")
+            break
+        top_up = pending[nxt:nxt + k - len(kept)]
+        head = kept + top_up
+        nxt += len(top_up)
+    return set(head).union(pending[nxt:])
+
+
 def _eliminate(oracle, universe: list[int], stats: EliminationStats | None = None) -> CandidateState:
     """Identify S union L within `universe` by discarding everything answered.
 
     The initial loop queries the k lowest-labeled surviving candidates
     (topped up with already-discarded low-label elements when fewer than k
-    remain) until k - s candidates survive.  For non-consecutive output
-    positions the survivors may still contain impostors; each refinement
-    round takes the 2a-1 lowest-labeled discarded elements (a = k minus the
-    survivor count) and runs every a-subset of them alongside the survivors,
-    discarding any survivor that gets answered.
+    remain) until k - s candidates survive: `_lowest_k_sweep`, where `head`
+    holds the survivors and `pending[nxt:]` the untouched tail.  For
+    non-consecutive output positions the survivors may still contain
+    impostors; each refinement round takes the 2a-1 lowest-labeled discarded
+    elements (a = k minus the survivor count) and runs every a-subset of
+    them alongside the survivors, discarding any survivor that gets answered.
     """
     spec = oracle.spec
-    k, s = spec.k, spec.s
-    candidates = set(universe)
-    eliminated: list[int] = []
-    initial_target = k - s
+    k = spec.k
     final_target = k - 1 - (spec.outputs[-1] - spec.outputs[0])
-    if len(candidates) <= k:
+    if len(universe) <= k:
         raise PreconditionError("universe too small to identify the extreme segments")
 
     q0 = oracle.query_count
-    while len(candidates) > initial_target:
-        cand_sorted = sorted(candidates)
-        if len(cand_sorted) >= k:
-            q = cand_sorted[:k]
-        else:
-            fillers = sorted(set(universe) - candidates)[:k - len(cand_sorted)]
-            if len(cand_sorted) + len(fillers) < k:
-                raise PreconditionError("not enough discarded elements to fill a query")
-            q = cand_sorted + fillers
-        out = oracle.query(q)
-        newly = sorted(out & candidates)
-        if not newly:
-            break
-        candidates -= set(newly)
-        eliminated.extend(newly)
+    candidates = _lowest_k_sweep(oracle, universe, universe, k - spec.s, keep_answered=False)
     if stats is not None:
         stats.initial_queries = oracle.query_count - q0
 
@@ -110,10 +130,9 @@ def _eliminate(oracle, universe: list[int], stats: EliminationStats | None = Non
             raise InconsistentAnswersError(
                 "refinement made no progress; extreme-segment identification failed")
         candidates -= hit
-        eliminated.extend(sorted(hit))
     if stats is not None:
         stats.refinement_queries = oracle.query_count - q1
-    return CandidateState(candidates, eliminated)
+    return CandidateState(candidates)
 
 
 def eliminate_candidates(oracle) -> CandidateState:
@@ -255,8 +274,8 @@ def _min_finder(oracle, prefix: list[int], pad_pool: list[int], branching: int):
             raise PreconditionError("pad pool exhausted while sizing a query")
         out = oracle.query(fill + list(block) + pads[:need])
         extra = out - fill_set
-        if len(extra) != 1:
-            raise InconsistentAnswersError("reduced instrument did not isolate one element")
+        if len(extra) != 1 or extra.isdisjoint(block):
+            raise InconsistentAnswersError("reduced instrument did not isolate one block element")
         return next(iter(extra))
 
     return find_min
@@ -454,9 +473,8 @@ def _prefix_run_sort(oracle, stats: MultiSortStats) -> SortResult:
     reduced instrument with j - 1 of the block members as the fixed prefix.
     """
     spec = oracle.spec
-    n, k = oracle.n, spec.k
     j = spec.outputs[-1]
-    universe = list(range(n))
+    universe = list(range(oracle.n))
     start = oracle.query_count
 
     estats = EliminationStats()
@@ -476,15 +494,8 @@ def _prefix_run_sort(oracle, stats: MultiSortStats) -> SortResult:
     # Keep-elimination: survivors of "am I always among the answers?" are
     # exactly the j smallest elements of the working set.
     working = set(universe) - l_set
-    block = set(working)
     x0 = oracle.query_count
-    while len(block) > j:
-        cand_sorted = sorted(block)
-        q = cand_sorted[:k]
-        if len(q) < k:
-            q = q + sorted(set(universe) - block)[:k - len(q)]
-        out = oracle.query(q)
-        block -= (set(q) & block) - out
+    block = _lowest_k_sweep(oracle, working, universe, j, keep_answered=True)
     stats.extra = oracle.query_count - x0
 
     prefix = sorted(block)[:j - 1]

@@ -127,6 +127,24 @@ def test_plan_then_solve_round_trip(tmp_path, capsys, algo, spec_text, n):
     assert doc["queries_used"] == res.queries_used
 
 
+def test_solve_rejects_inconsistent_answers(tmp_path, capsys):
+    # One outcome of an answered 4:2 plan names another element of its
+    # query; the replay's extraction then meets a query answered by a pad.
+    spec, n = ScaleSpec(4, (2,)), 9
+    plan_path = tmp_path / "plan.json"
+    run_cli(capsys, "plan", "--algo", "recursive", "--scale", "4:2", "--n", str(n),
+            "--out", str(plan_path))
+    oracle = Oracle(HiddenOrder.from_seed(n, 5), spec)
+    results = [{"query": q, "outcome": [4] if q == [1, 3, 4, 8] else sorted(oracle.query(q))}
+               for q in json.loads(plan_path.read_text())["queries"]]
+    results_path = tmp_path / "results.json"
+    results_path.write_text(json.dumps({
+        "algo": "recursive", "spec": "4:2", "n": n, "results": results}))
+    code, out, err = run_cli(capsys, "solve", "--results", str(results_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 _ANSWERED = {"algo": "adjacency", "spec": "3:2", "n": 9,
              "results": [{"query": [0, 1, 2], "outcome": [1]}]}
 

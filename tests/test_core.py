@@ -39,6 +39,7 @@ class TestScaleSpec:
         (3, (3, 2)),          # not increasing
         (3, (0,)),            # below range
         (3, (4,)),            # above range
+        (3, (1, 2, 3)),       # every position: answers determine nothing
     ])
     def test_invalid_specs(self, k, outputs):
         with pytest.raises(ScaleError):

@@ -7,11 +7,13 @@ import pytest
 
 from scalesort.core import (
     HiddenOrder,
+    InconsistentAnswersError,
     Oracle,
     PreconditionError,
     RESOLVED,
     ScaleSpec,
     UnsupportedScaleError,
+    answer_plan,
     equivalent_up_to_ambiguity,
     outcome_of,
 )
@@ -24,7 +26,9 @@ from scalesort.offline_recursive import (
     offline_lower_bound,
     order_superset,
     plan_size_formula,
+    recursive_plan,
     recursive_sort,
+    solve_from_results,
 )
 
 
@@ -230,6 +234,22 @@ class TestPlanAndSort:
         oracle = Oracle(HiddenOrder.identity(6), ScaleSpec(3, (2,)))
         with pytest.raises(PreconditionError):
             recursive_sort(oracle)
+
+    @pytest.mark.parametrize("n,seed,wrong", [
+        # Two swapped outcomes: the elimination query {3,4,6,8} is answered
+        # {1}, none of its four candidates.
+        (11, 3, {(1, 2, 4, 5): (6,), (3, 4, 6, 8): (1,)}),
+        # One wrong outcome inside its query: a block-minimum query of the
+        # extraction is answered with one of its pads.
+        (9, 5, {(1, 3, 4, 8): (4,)}),
+    ])
+    def test_inconsistent_answers_are_refused(self, n, seed, wrong):
+        spec = ScaleSpec(4, (2,))
+        plan = recursive_plan(n, spec)
+        answers = answer_plan(Oracle(HiddenOrder.from_seed(n, seed), spec), plan)
+        answers.update({frozenset(q): frozenset(o) for q, o in wrong.items()})
+        with pytest.raises(InconsistentAnswersError):
+            solve_from_results(plan, answers)
 
 
 class TestOrderSuperset:
