@@ -26,13 +26,9 @@ from .core import (
     equivalent_up_to_ambiguity,
 )
 from .online import (
-    eliminate_candidates,
     multi_sort,
-    partition_sl,
-    resolve_sl_layered,
     singleton_sort,
     sort_online,
-    tournament_sort,
 )
 from .offline_adjacency import (
     adjacency_sort,

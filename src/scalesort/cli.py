@@ -24,9 +24,22 @@ from .core import HiddenOrder, ScaleError, ScaleSpec
 from . import harness, offline_adjacency, offline_recursive
 
 
+def _read_json(path: str, what: str):
+    """Parse a JSON input file; a missing, unreadable or non-JSON file is a ScaleError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ScaleError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ScaleError(f"{what} is not JSON: {exc}") from exc
+
+
 def _load_order(path: str) -> HiddenOrder:
-    with open(path) as fh:
-        return HiddenOrder(tuple(json.load(fh)))
+    ranks = _read_json(path, "order file")
+    if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
+        raise ScaleError("order file must hold a JSON list of integer ranks")
+    return HiddenOrder(tuple(ranks))
 
 
 def _order_args(parser: argparse.ArgumentParser) -> None:
@@ -88,11 +101,7 @@ def _cmd_plan(args) -> int:
 
 def _load_results(path: str) -> tuple[str, ScaleSpec, int, dict[frozenset[int], frozenset[int]]]:
     """Read and check a results file: algo, spec, n and the answered queries."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScaleError(f"results file is not JSON: {exc}") from exc
+    doc = _read_json(path, "results file")
     if not isinstance(doc, dict):
         raise ScaleError("results file must hold a JSON object")
     algo, text, n, entries = (doc.get(key) for key in ("algo", "spec", "n", "results"))
@@ -176,7 +185,11 @@ def _cmd_lower_bound(args) -> int:
 
 def _cmd_bench(args) -> int:
     spec = ScaleSpec.parse(args.scale)
-    n_list = [int(x) for x in args.n_list.split(",")] if args.n_list else []
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")] if args.n_list else []
+    except ValueError as exc:
+        raise ScaleError(
+            f"--n-list must be comma-separated integers, got {args.n_list!r}") from exc
     algorithms = args.algorithms.split(",") if args.algorithms else ["online"]
     rows = harness.bench_sweep(spec, n_list, args.trials, algorithms,
                                base_seed=args.seed if args.seed is not None else 0,

@@ -29,6 +29,7 @@ from .core import (
     PreconditionError,
     ScaleSpec,
     SortResult,
+    UnsupportedScaleError,
     answer_plan,
 )
 
@@ -96,8 +97,16 @@ def build_adjacency_plan(n: int, spec: ScaleSpec) -> QueryPlan:
     """Three disjoint lowest-label reference sets of size rho, each with its full fan.
 
     With rho = 0 (a plain minimum or maximum scale) the plan degenerates to
-    all C(n, k) queries under a single empty reference set.
+    all C(n, k) queries under a single empty reference set.  Instruments
+    reporting a run of positions 1..j or k-j+1..k (j >= 2) are refused: the
+    answers never order that end block, so the surviving graph is never a
+    path and the rebuild could not finish.
     """
+    if spec.bottom_block_size or spec.top_block_size:
+        raise UnsupportedScaleError(
+            f"adjacency plan cannot sort {spec.text}: no answer orders its end block of "
+            f"{spec.bottom_block_size or spec.top_block_size}, so the surviving graph is"
+            " never a path")
     k = spec.k
     rho = _reference_size(spec)
     if rho == 0:

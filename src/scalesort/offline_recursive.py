@@ -462,16 +462,15 @@ def solve_from_results(plan: RecursivePlan,
     """Order the superset from the closure answers, then replay the adaptive
     algorithm against deduction from every answer.
 
-    queries_used counts physical plan entries (overlapping fans resubmit
-    their shared queries).
+    Every plan query must be answered: deduction could stand in for a
+    missing fan answer, but queries_used counts physical plan entries
+    (overlapping fans resubmit their shared queries).
     """
     spec = plan.spec
-    closure: dict[frozenset[int], frozenset[int]] = {}
-    for q in plan.closure_queries:
-        fs = frozenset(q)
-        if fs not in results:
-            raise InconsistentAnswersError(f"missing answer for plan query {sorted(fs)}")
-        closure[fs] = results[fs]
+    for q in plan.queries():
+        if q not in results:
+            raise InconsistentAnswersError(f"missing answer for plan query {sorted(q)}")
+    closure = {q: results[q] for q in map(frozenset, plan.closure_queries)}
     chain, below, above, free = order_superset(closure, plan.superset, spec)
     kb = KnowledgeBase(spec, results, chain, below, above, free)
     res = online.singleton_sort(ReplayOracle(spec, plan.n, kb))

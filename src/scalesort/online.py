@@ -1,14 +1,17 @@
 """Adaptive sorting strategies.
 
-Singleton instruments run three stages: eliminate everything that ever gets
-answered (what remains is S union L), split that remainder into S and L with
-one fixed reference query per candidate, then repeatedly extract minima of
-the rest through a k'-ary block hierarchy whose queries always pre-fill the
-bottom of the instrument with S.  Multi-output instruments run the analogous
-stages, then grow a prefix S' of the first ts - 1 elements by re-running the
-stages on the shrinking set, reduce to a (k', 1) instrument by always
-including S', and finish the leftover prefix elements with a max-extraction
-instrument padded by known-large elements.
+Every pipeline opens with the same first pass (`_first_pass`): eliminate
+everything that ever gets answered, so that what remains is S union L,
+then split that remainder into S and L with one fixed reference query per
+candidate, oriented by segment size when the sizes differ.  Singleton
+instruments then repeatedly extract minima of the rest through a k'-ary
+block hierarchy whose queries always pre-fill the bottom of the instrument
+with S.  Multi-output instruments grow a prefix S' of the first ts - 1
+elements by re-running the first pass on the shrinking set, reduce to a
+(k', 1) instrument by always including S', and finish the leftover prefix
+elements with a max-extraction instrument padded by known-large elements;
+instruments reporting a run of positions 1..j (or k-j+1..k) identify the
+unorderable end block by keep-elimination instead of growing a prefix.
 
 All choices the method leaves open ("pick a k-set", "pick an arbitrary
 set") resolve to lowest-label selection, so transcripts are reproducible.
@@ -36,22 +39,25 @@ from .core import (
 )
 from . import offline_adjacency
 
-A_IS_SMALL = "a_is_small"
-B_IS_SMALL = "b_is_small"
-UNKNOWN = "unknown"
-
 
 @dataclass
-class CandidateState:
-    """Pool of elements still possibly extreme."""
+class MultiSortStats:
+    """Per-stage query counts of the first pass plus pipeline shape."""
 
-    candidates: set[int]
+    initial_elimination: int = 0
+    refinement: int = 0
+    partition: int = 0
+    rounds: int = 1
+    extra: int = 0
 
 
-@dataclass
-class EliminationStats:
-    initial_queries: int = 0
-    refinement_queries: int = 0
+def _staged(stats: MultiSortStats | None, field: str, stage, oracle, *args):
+    """Run stage(oracle, *args) and add the queries it asked to `stats.field`."""
+    start = oracle.query_count
+    value = stage(oracle, *args)
+    if stats is not None:
+        setattr(stats, field, getattr(stats, field) + oracle.query_count - start)
+    return value
 
 
 def _lowest_k_sweep(oracle, pool: Iterable[int], universe: Iterable[int], target: int,
@@ -90,30 +96,17 @@ def _lowest_k_sweep(oracle, pool: Iterable[int], universe: Iterable[int], target
     return set(head).union(pending[nxt:])
 
 
-def _eliminate(oracle, universe: list[int], stats: EliminationStats | None = None) -> CandidateState:
-    """Identify S union L within `universe` by discarding everything answered.
+def _refine(oracle, universe: list[int], candidates: set[int]) -> set[int]:
+    """Discard the impostors an elimination sweep leaves for non-consecutive outputs.
 
-    The initial loop queries the k lowest-labeled surviving candidates
-    (topped up with already-discarded low-label elements when fewer than k
-    remain) until k - s candidates survive: `_lowest_k_sweep`, where `head`
-    holds the survivors and `pending[nxt:]` the untouched tail.  For
-    non-consecutive output positions the survivors may still contain
-    impostors; each refinement round takes the 2a-1 lowest-labeled discarded
-    elements (a = k minus the survivor count) and runs every a-subset of
-    them alongside the survivors, discarding any survivor that gets answered.
+    Each round takes the 2a-1 lowest-labeled discarded elements (a = k minus
+    the survivor count) and runs every a-subset of them alongside the
+    survivors, discarding any survivor that gets answered, until
+    k - 1 - (ts - t1) candidates are left.
     """
     spec = oracle.spec
     k = spec.k
     final_target = k - 1 - (spec.outputs[-1] - spec.outputs[0])
-    if len(universe) <= k:
-        raise PreconditionError("universe too small to identify the extreme segments")
-
-    q0 = oracle.query_count
-    candidates = _lowest_k_sweep(oracle, universe, universe, k - spec.s, keep_answered=False)
-    if stats is not None:
-        stats.initial_queries = oracle.query_count - q0
-
-    q1 = oracle.query_count
     while len(candidates) > final_target:
         a = k - len(candidates)
         donors = sorted(set(universe) - candidates)
@@ -129,31 +122,19 @@ def _eliminate(oracle, universe: list[int], stats: EliminationStats | None = Non
         if not hit:
             raise InconsistentAnswersError(
                 "refinement made no progress; extreme-segment identification failed")
-        candidates -= hit
-    if stats is not None:
-        stats.refinement_queries = oracle.query_count - q1
-    return CandidateState(candidates)
+        candidates = candidates - hit
+    return candidates
 
 
-def eliminate_candidates(oracle) -> CandidateState:
-    """Stage one on the full universe: candidates end up exactly S union L."""
-    return _eliminate(oracle, list(range(oracle.n)))
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    group_a: frozenset[int]
-    group_b: frozenset[int]
-    labeling: str  # A_IS_SMALL, B_IS_SMALL, or UNKNOWN
-
-
-def _partition(oracle, universe: list[int], candidates: set[int]) -> PartitionResult:
-    """Split S union L into its two segments.
+def _partition(oracle, universe: list[int],
+               candidates: set[int]) -> tuple[frozenset[int], frozenset[int], bool]:
+    """Split S union L into (small, large, labelled).
 
     Each candidate is queried with one fixed reference set of k-1 discarded
     elements; candidates from the same segment produce identical outcomes.
-    When the segment sizes differ, the group whose size matches t1 - 1 is
-    the small one; equal sizes leave the labeling unknown.
+    When the segment sizes differ, the group whose size is t1 - 1 is the
+    small one; equal sizes leave the labelling unknown (labelled False) and
+    the groups in order of their lowest label.
     """
     spec = oracle.spec
     k = spec.k
@@ -170,18 +151,32 @@ def _partition(oracle, universe: list[int], candidates: set[int]) -> PartitionRe
     parts = sorted((frozenset(g) for g in groups.values()), key=min)
     while len(parts) < 2:
         parts.append(frozenset())
-    a, b = parts[0], parts[1]
-    if spec.s_size != spec.l_size:
-        if sorted((len(a), len(b))) != sorted((spec.s_size, spec.l_size)):
-            raise InconsistentAnswersError("segment group sizes do not match the instrument")
-        labeling = A_IS_SMALL if len(a) == spec.s_size else B_IS_SMALL
-    else:
-        labeling = UNKNOWN
-    return PartitionResult(a, b, labeling)
+    a, b = parts
+    if spec.s_size == spec.l_size:
+        return a, b, False
+    if sorted((len(a), len(b))) != sorted((spec.s_size, spec.l_size)):
+        raise InconsistentAnswersError("segment group sizes do not match the instrument")
+    return (a, b, True) if len(a) == spec.s_size else (b, a, True)
 
 
-def partition_sl(oracle, candidates: set[int]) -> PartitionResult:
-    return _partition(oracle, list(range(oracle.n)), candidates)
+def _first_pass(oracle, universe: list[int],
+                stats: MultiSortStats | None = None) -> tuple[frozenset[int], frozenset[int], bool]:
+    """Identify the extreme segments of `universe`: (small, large, labelled).
+
+    The elimination sweep queries the k lowest-labeled surviving candidates
+    (topped up with already-discarded low-label elements when fewer than k
+    remain) and discards everything answered until k - s candidates survive;
+    refinement removes the impostors left for non-consecutive outputs; the
+    split orients the two groups.  `stats`, if given, receives the query
+    count of each of the three stages.
+    """
+    spec = oracle.spec
+    if len(universe) <= spec.k:
+        raise PreconditionError("universe too small to identify the extreme segments")
+    candidates = _staged(stats, "initial_elimination", _lowest_k_sweep, oracle,
+                         universe, universe, spec.k - spec.s, False)
+    candidates = _staged(stats, "refinement", _refine, oracle, universe, candidates)
+    return _staged(stats, "partition", _partition, oracle, universe, candidates)
 
 
 class LevelGrid:
@@ -281,23 +276,6 @@ def _min_finder(oracle, prefix: list[int], pad_pool: list[int], branching: int):
     return find_min
 
 
-def tournament_sort(oracle, s_set: set[int], l_set: set[int], middle: set[int]) -> SortResult:
-    """Order `middle` by repeated minimum extraction (stage three).
-
-    Requires a singleton instrument and correct (or, for a symmetric
-    instrument, consistently swapped) s_set/l_set.  Query total is at most
-    2 * d * n' where d is the grid depth.
-    """
-    spec = oracle.spec
-    if spec.s != 1:
-        raise UnsupportedScaleError("tournament stage runs on singleton instruments")
-    start = oracle.query_count
-    find_min = _min_finder(oracle, sorted(s_set), sorted(l_set), spec.k_prime)
-    ordered = _ordered_by_extraction(sorted(middle), spec.k_prime, find_min)
-    return SortResult(tuple(ordered), frozenset(s_set), frozenset(l_set),
-                      RESOLVED, oracle.query_count - start)
-
-
 def _small_pool_sort(oracle) -> SortResult:
     """Exhaustive fallback for n < 2k - 2, where no k-1 reference set exists.
 
@@ -320,29 +298,12 @@ def singleton_sort(oracle) -> SortResult:
     start = oracle.query_count
     if n < 2 * k - 2:
         return _small_pool_sort(oracle)
-    state = _eliminate(oracle, list(range(n)))
-    part = _partition(oracle, list(range(n)), state.candidates)
-    if part.labeling == B_IS_SMALL:
-        s_set, l_set = part.group_b, part.group_a
-    else:
-        s_set, l_set = part.group_a, part.group_b
-    ambiguous = part.labeling == UNKNOWN
-    middle = set(range(n)) - state.candidates
-    res = tournament_sort(oracle, set(s_set), set(l_set), middle)
-    orientation = REFLECTION_AMBIGUOUS if ambiguous else RESOLVED
-    return SortResult(res.middle, frozenset(s_set), frozenset(l_set),
-                      orientation, oracle.query_count - start)
-
-
-@dataclass
-class MultiSortStats:
-    """Per-stage query counts of the first pass plus pipeline shape."""
-
-    initial_elimination: int = 0
-    refinement: int = 0
-    partition: int = 0
-    rounds: int = 1
-    extra: int = 0
+    universe = list(range(n))
+    s_set, l_set, labelled = _first_pass(oracle, universe)
+    find_min = _min_finder(oracle, sorted(s_set), sorted(l_set), spec.k_prime)
+    middle = _ordered_by_extraction(sorted(set(universe) - s_set - l_set), spec.k_prime, find_min)
+    return SortResult(tuple(middle), s_set, l_set,
+                      RESOLVED if labelled else REFLECTION_AMBIGUOUS, oracle.query_count - start)
 
 
 def multi_elimination_bound(n: int, spec: ScaleSpec) -> int:
@@ -358,19 +319,7 @@ def _staged_multi_sort(oracle, stats: MultiSortStats) -> SortResult:
     universe = list(range(n))
     start = oracle.query_count
 
-    estats = EliminationStats()
-    state = _eliminate(oracle, universe, estats)
-    stats.initial_elimination = estats.initial_queries
-    stats.refinement = estats.refinement_queries
-    p0 = oracle.query_count
-    part = _partition(oracle, universe, state.candidates)
-    stats.partition = oracle.query_count - p0
-
-    assumed = part.labeling == UNKNOWN
-    if part.labeling == B_IS_SMALL:
-        s_first, l_set = part.group_b, part.group_a
-    else:
-        s_first, l_set = part.group_a, part.group_b
+    s_first, l_set, labelled = _first_pass(oracle, universe, stats)
 
     # Build S', the first ts - 1 elements, peeling one small segment per
     # round; the final round re-inserts previously removed elements when
@@ -384,18 +333,12 @@ def _staged_multi_sort(oracle, stats: MultiSortStats) -> SortResult:
         if remaining < s_size:
             reinserted = set(sorted(sprime)[:s_size - remaining])
         working = sorted(set(universe) - (sprime - reinserted))
-        st = _eliminate(oracle, working)
-        pr = _partition(oracle, working, st.candidates)
-        if not assumed:
-            layer = pr.group_a if len(pr.group_a) == s_size else pr.group_b
-        else:
-            if pr.group_a == l_set:
-                layer = pr.group_b
-            elif pr.group_b == l_set:
-                layer = pr.group_a
-            else:
-                raise InconsistentAnswersError(
-                    "large segment did not reappear while peeling prefix layers")
+        layer, other, _ = _first_pass(oracle, working)
+        if not labelled and layer == l_set:
+            layer, other = other, layer
+        if not labelled and other != l_set:
+            raise InconsistentAnswersError(
+                "large segment did not reappear while peeling prefix layers")
         if len(layer) != s_size or (reinserted and not reinserted <= layer):
             raise InconsistentAnswersError("prefix round produced an unexpected layer")
         sprime |= layer
@@ -407,7 +350,7 @@ def _staged_multi_sort(oracle, stats: MultiSortStats) -> SortResult:
 
     # Sort S' minus S with a max-extraction instrument: k - t1 known-large
     # pads on top, known-small pads from S when a batch runs short.
-    remnant = sorted(sprime - set(s_first))
+    remnant = sorted(sprime - s_first)
     extra_from_mid = (k - t1) - len(l_set)
     if extra_from_mid > len(ordered_rest):
         raise PreconditionError("not enough sorted elements to pad the max instrument")
@@ -440,10 +383,9 @@ def _staged_multi_sort(oracle, stats: MultiSortStats) -> SortResult:
         remaining_set.remove(champ)
     middle_full = list(reversed(remnant_desc)) + ordered_rest
 
-    s_set = frozenset(s_first)
-    l_out = frozenset(l_set)
+    s_set, l_out = s_first, l_set
     orientation = RESOLVED
-    if assumed:
+    if not labelled:
         if spec.is_symmetric:
             orientation = REFLECTION_AMBIGUOUS
         else:
@@ -477,33 +419,21 @@ def _prefix_run_sort(oracle, stats: MultiSortStats) -> SortResult:
     universe = list(range(oracle.n))
     start = oracle.query_count
 
-    estats = EliminationStats()
-    state = _eliminate(oracle, universe, estats)
-    stats.initial_elimination = estats.initial_queries
-    stats.refinement = estats.refinement_queries
-    p0 = oracle.query_count
-    part = _partition(oracle, universe, state.candidates)
-    stats.partition = oracle.query_count - p0
-    if part.labeling == A_IS_SMALL:
-        l_set = set(part.group_b)
-    elif part.labeling == B_IS_SMALL:
-        l_set = set(part.group_a)
-    else:
+    _, l_set, labelled = _first_pass(oracle, universe, stats)
+    if not labelled:
         raise InconsistentAnswersError("prefix instrument must label its segments by size")
 
     # Keep-elimination: survivors of "am I always among the answers?" are
     # exactly the j smallest elements of the working set.
     working = set(universe) - l_set
-    x0 = oracle.query_count
-    block = _lowest_k_sweep(oracle, working, universe, j, keep_answered=True)
-    stats.extra = oracle.query_count - x0
+    block = _staged(stats, "extra", _lowest_k_sweep, oracle, working, universe, j, True)
 
     prefix = sorted(block)[:j - 1]
     rest = sorted(working - block)
     find_min = _min_finder(oracle, prefix, sorted(l_set), spec.k_prime)
     ordered_rest = _ordered_by_extraction(rest, spec.k_prime, find_min)
     middle = tuple(sorted(block)) + tuple(ordered_rest)
-    return SortResult(middle, frozenset(), frozenset(l_set), RESOLVED,
+    return SortResult(middle, frozenset(), l_set, RESOLVED,
                       oracle.query_count - start)
 
 
@@ -549,131 +479,3 @@ def multi_sort(oracle) -> SortResult:
 def sort_online(oracle) -> SortResult:
     """Dispatch to the singleton or multi-output pipeline."""
     return singleton_sort(oracle) if oracle.spec.s == 1 else multi_sort(oracle)
-
-
-def smallest_asymmetric_index(spec: ScaleSpec) -> int:
-    """Least p where exactly one of positions p and k+1-p is reported."""
-    outs = set(spec.outputs)
-    for p in range(1, spec.k + 1):
-        if (p in outs) != (spec.k + 1 - p in outs):
-            return p
-    raise UnsupportedScaleError("instrument is symmetric; no asymmetric index exists")
-
-
-@dataclass(frozen=True)
-class LayeredSegments:
-    """Nested extreme-segment pairs peeled from the working set.
-
-    pairs[i] holds (small_i, large_i): the extreme segments of what remained
-    after peeling pairs 0..i-1.  p is the least asymmetric position index of
-    the instrument.
-    """
-
-    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
-    p: int
-
-
-def resolve_sl_layered(oracle, pairs_needed: int) -> LayeredSegments:
-    """Identify which extreme segment is which by peeling nested layers.
-
-    Useful for asymmetric multi-output instruments whose two segments have
-    the same size (so the split stage cannot label them).  Nested pairs are
-    peeled; layers at and beyond the least asymmetric index p are labeled by
-    probes whose composition places the tested element at two candidate
-    positions of which exactly one is reported; shallower layers are then
-    classified against the labeled ones.  Returns at least `pairs_needed`
-    labeled pairs.
-    """
-    spec = oracle.spec
-    if spec.s < 2:
-        raise UnsupportedScaleError("layer labeling applies to multi-output instruments")
-    if spec.is_symmetric:
-        raise UnsupportedScaleError("layer labeling is undefined for symmetric instruments")
-    p = smallest_asymmetric_index(spec)
-    n, k = oracle.n, spec.k
-    t1, ts = spec.outputs[0], spec.outputs[-1]
-    if t1 == 1 or ts == k:
-        raise UnsupportedScaleError("layer labeling needs nonempty segments on both sides")
-    outs = set(spec.outputs)
-    depth = max(pairs_needed, p + ts - 2)
-    pair_size = spec.s_size + spec.l_size
-
-    working = set(range(n))
-    raw_pairs: list[tuple[frozenset[int], frozenset[int]]] = []
-    for _ in range(depth):
-        if len(working) <= 2 * k + pair_size:
-            raise PreconditionError("n too small to peel the required number of layers")
-        st = _eliminate(oracle, sorted(working))
-        pr = _partition(oracle, sorted(working), st.candidates)
-        raw_pairs.append((pr.group_a, pr.group_b))
-        working -= set(pr.group_a) | set(pr.group_b)
-    balancers = sorted(working)
-
-    # Label layers from index p-1 on (0-based).  A probe holds, for each
-    # shallower pair, either both sides (unlabeled: one lands at the bottom
-    # and one at the top whichever way around they are) or the small anchor
-    # only; the tested element then sits at position u + kappa + 1 if small
-    # and k - u if large, and the composition is chosen so that exactly one
-    # of those positions is reported.
-    small_of: dict[int, frozenset[int]] = {}
-    for idx in range(p - 1, depth):
-        ga, gb = raw_pairs[idx]
-        unlabeled = [raw_pairs[i] for i in range(idx) if i not in small_of]
-        anchors = [min(small_of[i]) for i in sorted(small_of) if i < idx]
-        c = min(ga)
-        found = None
-        for u in range(len(unlabeled), -1, -1):
-            for kappa in range(len(anchors), -1, -1):
-                f = k - (2 * u + kappa + 1)
-                if f < 1 or f > len(balancers):
-                    continue
-                pos_low = u + kappa + 1
-                pos_high = k - u
-                if (pos_low in outs) != (pos_high in outs):
-                    found = (u, kappa, f, pos_low)
-                    break
-            if found:
-                break
-        if found is None:
-            raise UnsupportedScaleError(
-                f"no probe composition separates the readings of layer {idx + 1}")
-        u, kappa, f, pos_low = found
-        query = ([min(pr_[0]) for pr_ in unlabeled[:u]]
-                 + [min(pr_[1]) for pr_ in unlabeled[:u]]
-                 + anchors[:kappa] + [c] + balancers[:f])
-        out = oracle.query(query)
-        small_of[idx] = ga if (c in out) == (pos_low in outs) else gb
-
-    # Shallower layers sit at symmetric positions, so membership of the
-    # tested element cannot decide; instead ts - 1 labeled small anchors
-    # from deeper layers shift by one slot between the two readings and the
-    # anchor membership pattern decides.
-    for idx in range(p - 1):
-        ga, gb = raw_pairs[idx]
-        deeper = [i for i in sorted(small_of) if i > idx]
-        kappa = ts - 1
-        if len(deeper) < kappa:
-            raise UnsupportedScaleError(f"not enough labeled layers to classify layer {idx + 1}")
-        anchors = [min(small_of[i]) for i in deeper[:kappa]]
-        f = k - 1 - kappa
-        if f < 0 or f > len(balancers):
-            raise UnsupportedScaleError(f"cannot size the probe for layer {idx + 1}")
-        c = min(ga)
-        out = oracle.query([c] + anchors + balancers[:f])
-        low_hits = frozenset(anchors[t - 2] for t in outs if 2 <= t <= kappa + 1)
-        high_hits = frozenset(anchors[t - 1] for t in outs if t <= kappa)
-        known = {c} | set(anchors)
-        observed_known = frozenset(out & known)
-        if observed_known == low_hits and len(out - known) == len(outs) - len(low_hits):
-            small_of[idx] = ga
-        elif observed_known == high_hits and len(out - known) == len(outs) - len(high_hits):
-            small_of[idx] = gb
-        else:
-            raise InconsistentAnswersError(f"probe pattern for layer {idx + 1} matches no reading")
-
-    pairs = []
-    for idx in range(depth):
-        ga, gb = raw_pairs[idx]
-        small = small_of[idx]
-        pairs.append((small, gb if small == ga else ga))
-    return LayeredSegments(tuple(pairs), p)

@@ -145,6 +145,55 @@ def test_solve_rejects_inconsistent_answers(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_solve_rejects_missing_fan_answer(tmp_path, capsys):
+    # Every record of one fan query of an answered recursive plan is dropped.
+    spec, n = ScaleSpec(4, (2,)), 11
+    plan_path = tmp_path / "plan.json"
+    run_cli(capsys, "plan", "--algo", "recursive", "--scale", "4:2", "--n", str(n),
+            "--out", str(plan_path))
+    oracle = Oracle(HiddenOrder.from_seed(n, 2), spec)
+    results = [{"query": q, "outcome": sorted(oracle.query(q))}
+               for q in json.loads(plan_path.read_text())["queries"] if q != [0, 2, 5, 6]]
+    results_path = tmp_path / "results.json"
+    results_path.write_text(json.dumps({
+        "algo": "recursive", "spec": "4:2", "n": n, "results": results}))
+    code, out, err = run_cli(capsys, "solve", "--results", str(results_path))
+    assert code == 2 and out == ""
+    assert err == "error: missing answer for plan query [0, 2, 5, 6]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sort-offline", "--algo", "adjacency", "--scale", "3:1,2", "--n", "30"),
+    ("plan", "--algo", "adjacency", "--scale", "4:3,4", "--n", "13"),
+])
+def test_adjacency_refuses_end_block_instruments(capsys, argv):
+    # The answers never order the end block, so no plan size could help.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: adjacency plan cannot sort ")
+    assert "end block of 2" in err
+
+
+@pytest.mark.parametrize("argv,content,message", [
+    (("sort-online", "--scale", "3:2", "--n", "9", "--order", "{path}"), "not json",
+     "order file is not JSON"),
+    (("sort-online", "--scale", "3:2", "--n", "3", "--order", "{path}"), '[1, 2, "x"]',
+     "list of integer ranks"),
+    (("sort-online", "--scale", "3:2", "--n", "9", "--order", "{missing}"), None,
+     "cannot read order file"),
+    (("solve", "--results", "{missing}"), None, "cannot read results file"),
+    (("bench", "--scale", "3:2", "--n-list", "8,x"), None, "--n-list must be"),
+])
+def test_malformed_inputs_are_clean_errors(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    argv = [a.format(path=path, missing=tmp_path / "missing.json") for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 _ANSWERED = {"algo": "adjacency", "spec": "3:2", "n": 9,
              "results": [{"query": [0, 1, 2], "outcome": [1]}]}
 

@@ -251,6 +251,17 @@ class TestPlanAndSort:
         with pytest.raises(InconsistentAnswersError):
             solve_from_results(plan, answers)
 
+    def test_missing_fan_answer_is_refused(self):
+        # A fan query could be deduced from the rest, but queries_used would
+        # then count a query nobody answered.
+        spec = ScaleSpec(4, (2,))
+        plan = recursive_plan(11, spec)
+        answers = answer_plan(Oracle(HiddenOrder.from_seed(11, 2), spec), plan)
+        del answers[frozenset({0, 2, 5, 6})]
+        with pytest.raises(InconsistentAnswersError,
+                           match=r"missing answer for plan query \[0, 2, 5, 6\]"):
+            solve_from_results(plan, answers)
+
 
 class TestOrderSuperset:
     def test_two_fixed_from_closure(self):

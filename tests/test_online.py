@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scalesort.core import (
     HiddenOrder,
     Oracle,
-    PreconditionError,
     RESOLVED,
     REFLECTION_AMBIGUOUS,
     ScaleSpec,
@@ -19,21 +18,25 @@ from scalesort.core import (
     true_partition,
 )
 from scalesort.online import (
-    A_IS_SMALL,
-    B_IS_SMALL,
-    UNKNOWN,
     LevelGrid,
-    eliminate_candidates,
+    MultiSortStats,
+    _first_pass,
+    _min_finder,
+    _ordered_by_extraction,
+    _partition,
     multi_elimination_bound,
     multi_sort,
     multi_sort_with_stats,
-    partition_sl,
-    resolve_sl_layered,
     singleton_sort,
-    smallest_asymmetric_index,
     sort_online,
-    tournament_sort,
 )
+
+
+def first_pass(oracle):
+    """The shared first pass on the full universe, with its stage counts."""
+    stats = MultiSortStats()
+    small, large, labelled = _first_pass(oracle, list(range(oracle.n)), stats)
+    return small, large, labelled, stats
 
 
 class TestEliminateCandidates:
@@ -41,22 +44,22 @@ class TestEliminateCandidates:
         # (4,{2}) identity on 7: each query discards its answer until the
         # three extremes (one small, two large) remain.
         oracle = Oracle(HiddenOrder.identity(7), ScaleSpec(4, (2,)))
-        state = eliminate_candidates(oracle)
-        assert state.candidates == {0, 5, 6}
-        assert oracle.query_count == 4
+        small, large, _, stats = first_pass(oracle)
+        assert small | large == {0, 5, 6}
+        assert (stats.initial_elimination, stats.refinement) == (4, 0)
 
     def test_multi_example_with_refinement(self):
         # (6,{2,4}) identity on 12: the initial loop stops at four survivors
         # {0,8,10,11}; one refinement round with donors {1,2,3} catches 8.
         oracle = Oracle(HiddenOrder.identity(12), ScaleSpec(6, (2, 4)))
-        state = eliminate_candidates(oracle)
-        assert state.candidates == {0, 10, 11}
-        assert oracle.query_count == 4 + 3  # initial loop + C(3,2) refinement
+        small, large, _, stats = first_pass(oracle)
+        assert small | large == {0, 10, 11}
+        assert (stats.initial_elimination, stats.refinement) == (4, 3)  # C(3,2) refinement
 
     def test_minimum_scale(self):
         oracle = Oracle(HiddenOrder.identity(5), ScaleSpec(3, (1,)))
-        state = eliminate_candidates(oracle)
-        assert state.candidates == {3, 4}
+        small, large, _, _ = first_pass(oracle)
+        assert small | large == {3, 4}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
@@ -64,40 +67,36 @@ class TestEliminateCandidates:
         spec = ScaleSpec(6, (2, 4))
         order = HiddenOrder.from_seed(14, seed)
         oracle = Oracle(order, spec)
-        state = eliminate_candidates(oracle)
+        small, large, _, _ = first_pass(oracle)
         s_true, _, l_true = true_partition(order, spec)
-        assert state.candidates == set(s_true) | set(l_true)
+        assert small | large == set(s_true) | set(l_true)
 
 
 class TestPartitionSL:
     def test_asymmetric_labeled(self):
         oracle = Oracle(HiddenOrder.identity(10), ScaleSpec(4, (2,)))
-        state = eliminate_candidates(oracle)
-        assert state.candidates == {0, 8, 9}
-        before = oracle.query_count
-        part = partition_sl(oracle, state.candidates)
-        assert oracle.query_count - before == 3  # one query per candidate
-        assert (part.group_a, part.group_b) == (frozenset({0}), frozenset({8, 9}))
-        assert part.labeling == A_IS_SMALL
+        small, large, labelled, stats = first_pass(oracle)
+        assert small | large == {0, 8, 9}
+        assert stats.partition == 3  # one query per candidate
+        assert (small, large, labelled) == (frozenset({0}), frozenset({8, 9}), True)
 
     def test_symmetric_unknown(self):
         oracle = Oracle(HiddenOrder.identity(8), ScaleSpec(3, (2,)))
-        state = eliminate_candidates(oracle)
-        part = partition_sl(oracle, state.candidates)
-        assert {part.group_a, part.group_b} == {frozenset({0}), frozenset({7})}
-        assert part.labeling == UNKNOWN
+        small, large, labelled, _ = first_pass(oracle)
+        assert {small, large} == {frozenset({0}), frozenset({7})}
+        assert not labelled
 
     def test_multi_outcome_shapes(self):
         # (6,{2,4}) identity on 12: the small candidate is answered with
         # reference slots {1,3}, large candidates with {2,4}.
         oracle = Oracle(HiddenOrder.identity(12), ScaleSpec(6, (2, 4)))
-        state = eliminate_candidates(oracle)
-        reference = sorted(set(range(12)) - state.candidates)[:5]
+        small, large, labelled, _ = first_pass(oracle)
+        reference = sorted(set(range(12)) - small - large)[:5]
         assert reference == [1, 2, 3, 4, 5]
-        part = partition_sl(oracle, state.candidates)
-        assert part.group_a == frozenset({0})
-        assert part.group_b == frozenset({10, 11})
-        assert part.labeling == A_IS_SMALL
+        assert _partition(oracle, list(range(12)), small | large) == (small, large, labelled)
+        assert small == frozenset({0})
+        assert large == frozenset({10, 11})
+        assert labelled
 
 
 class TestTournament:
@@ -119,16 +118,17 @@ class TestTournament:
 
     def test_singleton_element_costs_nothing(self):
         oracle = Oracle(HiddenOrder.identity(8), ScaleSpec(4, (2,)))
-        res = tournament_sort(oracle, {0}, {6, 7}, {3})
-        assert res.middle == (3,)
-        assert res.queries_used == 0
+        find_min = _min_finder(oracle, [0], [6, 7], oracle.spec.k_prime)
+        assert _ordered_by_extraction([3], oracle.spec.k_prime, find_min) == [3]
+        assert oracle.query_count == 0
 
     def test_stage_bound_and_order(self):
         spec = ScaleSpec(4, (2,))
         oracle = Oracle(HiddenOrder.identity(30), spec)
-        res = tournament_sort(oracle, {0}, {28, 29}, set(range(1, 28)))
-        assert res.middle == tuple(range(1, 28))
-        assert res.queries_used <= 2 * 3 * 27  # depth 3 over 27 items
+        find_min = _min_finder(oracle, [0], [28, 29], spec.k_prime)
+        middle = list(range(1, 28))
+        assert _ordered_by_extraction(middle, spec.k_prime, find_min) == middle
+        assert oracle.query_count <= 2 * 3 * 27  # depth 3 over 27 items
 
     def test_extraction_locality(self):
         # After the first pass each extraction re-queries at most d blocks.
@@ -136,7 +136,6 @@ class TestTournament:
         oracle = Oracle(HiddenOrder.identity(29), spec)
         middle = set(range(27))
         find_min_calls = []
-        from scalesort.online import _min_finder, LevelGrid
         inner = _min_finder(oracle, [], sorted({27, 28}), 3)
 
         def find_min(block):
@@ -317,6 +316,24 @@ def test_online_transcripts_are_pinned(spec_text):
                    res.queries_used)) == result_sha
 
 
+# (initial_elimination, refinement, partition, rounds, extra) of the same
+# multi-output sorts, pinned when each stage still kept its own counter.
+PINNED_STAGES = {
+    "7:2,6": (998, 45, 2, 5, 0),
+    "5:1,2": (999, 0, 3, 1, 665),
+    "4:3,4": (999, 0, 2, 1, 998),
+    "6:2,5": (998, 13, 2, 4, 0),
+}
+
+
+@pytest.mark.parametrize("spec_text", PINNED_STAGES)
+def test_online_stage_counts_are_pinned(spec_text):
+    oracle = Oracle(HiddenOrder.from_seed(2000, PINNED[spec_text][0]), ScaleSpec.parse(spec_text))
+    _, stats = multi_sort_with_stats(oracle)
+    assert (stats.initial_elimination, stats.refinement, stats.partition, stats.rounds,
+            stats.extra) == PINNED_STAGES[spec_text]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10**6), st.data())
 def test_singleton_bound_holds_on_every_trial(k, seed, data):
@@ -344,55 +361,3 @@ def test_multi_equivalence_on_random_instruments(k, seed, data):
     oracle = Oracle(order, spec)
     res = multi_sort(oracle)
     assert equivalent_up_to_ambiguity(res, order, spec)
-
-
-class TestLayeredResolution:
-    @pytest.mark.parametrize("spec,p", [
-        (ScaleSpec(6, (2, 4)), 2),
-        (ScaleSpec(5, (1, 2)), 1),
-        (ScaleSpec(4, (2,)), 2),
-    ])
-    def test_smallest_asymmetric_index(self, spec, p):
-        assert smallest_asymmetric_index(spec) == p
-
-    def test_symmetric_has_no_index(self):
-        with pytest.raises(UnsupportedScaleError):
-            smallest_asymmetric_index(ScaleSpec(5, (2, 4)))
-
-    @pytest.mark.parametrize("spec,n", [
-        (ScaleSpec(6, (2, 4)), 60),
-        (ScaleSpec(6, (2, 3, 5)), 70),
-    ])
-    def test_layers_labeled_correctly(self, spec, n):
-        for seed in range(4):
-            order = HiddenOrder.from_seed(n, seed)
-            oracle = Oracle(order, spec)
-            seg = resolve_sl_layered(oracle, 1)
-            assert seg.p == smallest_asymmetric_index(spec)
-            by_rank = list(order.by_rank)
-            for small, large in seg.pairs:
-                assert set(small) == set(by_rank[:spec.s_size])
-                assert set(large) == set(by_rank[len(by_rank) - spec.l_size:])
-                by_rank = by_rank[spec.s_size:len(by_rank) - spec.l_size]
-
-    def test_extra_pairs_on_request(self):
-        spec = ScaleSpec(6, (2, 4))
-        order = HiddenOrder.from_seed(80, 1)
-        oracle = Oracle(order, spec)
-        seg = resolve_sl_layered(oracle, 7)
-        assert len(seg.pairs) == 7
-        by_rank = list(order.by_rank)
-        for small, large in seg.pairs:
-            assert set(small) == set(by_rank[:spec.s_size])
-            assert set(large) == set(by_rank[len(by_rank) - spec.l_size:])
-            by_rank = by_rank[spec.s_size:len(by_rank) - spec.l_size]
-
-    def test_rejects_symmetric(self):
-        oracle = Oracle(HiddenOrder.identity(30), ScaleSpec(5, (2, 4)))
-        with pytest.raises(UnsupportedScaleError):
-            resolve_sl_layered(oracle, 1)
-
-    def test_needs_room_to_peel(self):
-        oracle = Oracle(HiddenOrder.identity(14), ScaleSpec(6, (2, 4)))
-        with pytest.raises(PreconditionError):
-            resolve_sl_layered(oracle, 1)
