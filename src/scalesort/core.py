@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 RESOLVED = "resolved"
 REFLECTION_AMBIGUOUS = "reflection_ambiguous"
@@ -330,6 +330,34 @@ def mirror_result(result: SortResult) -> SortResult:
     """Translate a result computed against the mirrored spec back to the original."""
     return SortResult(tuple(reversed(result.middle)), result.l_set, result.s_set,
                       result.orientation, result.queries_used)
+
+
+def match_under(query: frozenset[int], observed: frozenset[int],
+                middle_pos: Mapping[int, int],
+                s_set: frozenset[int], l_set: frozenset[int],
+                outputs: Sequence[int]) -> bool:
+    """Can the observed outcome arise from this (order, segment) hypothesis?
+
+    Segment members are mutually unordered, so an output position landing in
+    a segment zone only requires *some* segment member of the query there.
+    """
+    qs = query & s_set
+    ql = query & l_set
+    qm = sorted((e for e in query if e in middle_pos), key=middle_pos.__getitem__)
+    exact: set[int] = set()
+    need_s = need_l = 0
+    for t in outputs:
+        if t <= len(qs):
+            need_s += 1
+        elif t <= len(qs) + len(qm):
+            exact.add(qm[t - len(qs) - 1])
+        else:
+            need_l += 1
+    obs_s = observed & s_set
+    obs_l = observed & l_set
+    obs_m = observed - s_set - l_set
+    return (obs_m == exact and len(obs_s) == need_s and obs_s <= query
+            and len(obs_l) == need_l and obs_l <= query)
 
 
 def true_partition(truth: HiddenOrder, spec: ScaleSpec) -> tuple[frozenset[int], tuple[int, ...], frozenset[int]]:

@@ -31,6 +31,7 @@ from .core import (
     SortResult,
     UnsupportedScaleError,
     answer_plan,
+    match_under,
 )
 
 
@@ -131,10 +132,15 @@ class AdjacencyMap:
         self.neighbors: dict[int, set[int]] = {
             e: set(self.support) - {e} for e in self.support}
 
-    def remove_edge(self, a: int, b: int) -> None:
-        if a in self.support and b in self.support and a != b:
-            self.neighbors[a].discard(b)
-            self.neighbors[b].discard(a)
+    def remove_edges(self, group_a: Sequence[int], group_b: Sequence[int]) -> None:
+        """Delete every edge between two disjoint groups; labels off the support are skipped."""
+        neighbors = self.neighbors
+        for a in group_a:
+            if a in neighbors:
+                neighbors[a].difference_update(group_b)
+        for b in group_b:
+            if b in neighbors:
+                neighbors[b].difference_update(group_a)
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.neighbors.get(a, ())
@@ -198,42 +204,13 @@ def eliminate_nonadjacent(plan: QueryPlan,
             if len(swaps) < 2:
                 continue
             base = fan.reference | core
-            outs = {u: results[base | {u}] for u in swaps}
+            answered: list[int] = []
+            unanswered: list[int] = []
             for u in swaps:
-                if u not in outs[u]:
-                    continue
-                for v in swaps:
-                    if v != u and v not in outs[v]:
-                        adj.remove_edge(u, v)
+                (answered if u in results[base | {u}] else unanswered).append(u)
+            if answered and unanswered:
+                adj.remove_edges(answered, unanswered)
     return adj
-
-
-def _match_under(query: frozenset[int], observed: frozenset[int],
-                 middle_pos: Mapping[int, int],
-                 s_set: frozenset[int], l_set: frozenset[int],
-                 outputs: Sequence[int]) -> bool:
-    """Can the observed outcome arise from this (order, segment) hypothesis?
-
-    Segment members are mutually unordered, so an output position landing in
-    a segment zone only requires *some* segment member of the query there.
-    """
-    qs = query & s_set
-    ql = query & l_set
-    qm = sorted((e for e in query if e in middle_pos), key=middle_pos.__getitem__)
-    exact: set[int] = set()
-    need_s = need_l = 0
-    for t in outputs:
-        if t <= len(qs):
-            need_s += 1
-        elif t <= len(qs) + len(qm):
-            exact.add(qm[t - len(qs) - 1])
-        else:
-            need_l += 1
-    obs_s = observed & s_set
-    obs_l = observed & l_set
-    obs_m = observed - s_set - l_set
-    return (obs_m == exact and len(obs_s) == need_s and obs_s <= query
-            and len(obs_l) == need_l and obs_l <= query)
 
 
 def rebuild_order(adj: AdjacencyMap,
@@ -265,7 +242,7 @@ def rebuild_order(adj: AdjacencyMap,
         for s_pick in itertools.combinations(outside, spec.s_size):
             s_set = frozenset(s_pick)
             l_set = frozenset(outside) - s_set
-            if all(_match_under(q, o, pos, s_set, l_set, spec.outputs)
+            if all(match_under(q, o, pos, s_set, l_set, spec.outputs)
                    for q, o in entries):
                 consistent.append((middle, s_set, l_set))
     if not consistent:

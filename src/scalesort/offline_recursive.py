@@ -34,6 +34,7 @@ from .core import (
     SortResult,
     UnsupportedScaleError,
     answer_plan,
+    match_under,
     mirror_result,
 )
 from . import online
@@ -88,7 +89,7 @@ def find_ordered_pair(results: Mapping[frozenset[int], frozenset[int]],
     return (va, vb) if ca == k + 1 - t else (vb, va)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeBase:
     """Physically answered queries plus the deduction context.
 
@@ -96,6 +97,9 @@ class KnowledgeBase:
     elements known smaller/larger than every chain member; free_pool holds
     reference-superset members with no established relations (still usable
     as substitutes, since substitution needs their fans, not their rank).
+    Everything but the `deduced` memo is fixed once the base is built, so
+    the union of the recorded queries, each placed element's position and
+    the substitute order are computed once, here.
     """
 
     spec: ScaleSpec
@@ -105,6 +109,19 @@ class KnowledgeBase:
     above: tuple[int, ...] = ()
     free_pool: tuple[int, ...] = ()
     deduced: dict[frozenset[int], frozenset[int]] = field(default_factory=dict)
+    universe: frozenset[int] = field(init=False, repr=False, compare=False)
+    substitutes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _position: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "universe", frozenset().union(*self.known))
+        object.__setattr__(self, "substitutes",
+                           self.chain + self.above + self.below + self.free_pool)
+        # below < every chain index < above; chain membership wins, then below.
+        position = dict.fromkeys(self.above, len(self.chain))
+        position.update(dict.fromkeys(self.below, -1))
+        position.update((e, i) for i, e in enumerate(self.chain))
+        object.__setattr__(self, "_position", position)
 
     def lookup(self, q: frozenset[int]) -> frozenset[int] | None:
         hit = self.known.get(q)
@@ -112,32 +129,13 @@ class KnowledgeBase:
             hit = self.deduced.get(q)
         return hit
 
-    def substitute_pool(self) -> tuple[int, ...]:
-        return self.chain + self.above + self.below + self.free_pool
-
     def relation(self, a: int, b: int) -> int | None:
         """-1 if a < b is established, 1 if a > b, None otherwise."""
-        fa, fb = self._family(a), self._family(b)
-        if fa is None or fb is None:
-            return None
-        ra, rb = _FAMILY_RANK[fa[0]], _FAMILY_RANK[fb[0]]
-        if ra != rb:
-            return -1 if ra < rb else 1
-        if fa[0] == "chain":
-            return -1 if fa[1] < fb[1] else 1
-        return None  # same unordered family
-
-    def _family(self, e: int) -> tuple[str, int] | None:
-        if e in self.chain:
-            return ("chain", self.chain.index(e))
-        if e in self.below:
-            return ("below", 0)
-        if e in self.above:
-            return ("above", 0)
-        return None
-
-
-_FAMILY_RANK = {"below": 0, "chain": 1, "above": 2}
+        pa = self._position.get(a)
+        pb = self._position.get(b)
+        if pa is None or pb is None or pa == pb:
+            return None  # unplaced, or the same unordered family
+        return -1 if pa < pb else 1
 
 
 def _interpret_absent(counts: Counter[int], k: int, t: int, m: int,
@@ -201,10 +199,7 @@ def _pair_order_tiebreak(kb: KnowledgeBase, cands: set[int],
     if len(pool) < pool_take:
         return None
     chosen_pool = sorted(pool)[:pool_take]
-    universe: set[int] = set()
-    for q in kb.known:
-        universe |= q
-    fillers = sorted(universe - cands - set(chosen_pool))
+    fillers = sorted(kb.universe - cands - set(chosen_pool))
     base = sorted(cands) + chosen_pool
     for combo in itertools.combinations(fillers, filler_take):
         out = kb.lookup(frozenset(base + list(combo)))
@@ -223,13 +218,19 @@ def _deduce(kb: KnowledgeBase, q: frozenset[int], busy: set[frozenset[int]]) -> 
     sided_subs = {1: [], 4: []}
     zone_mix: set[int] = set()
     busy = busy | {q}
-    for w in kb.substitute_pool():
+    for w in kb.substitutes:
         if w in q:
             continue
-        prefix = [p for p in q if kb.relation(p, w) is not None]
-        beta = sum(1 for p in prefix if kb.relation(p, w) == -1)
-        m = len(prefix)
-        victims = sorted(e for e in q if e not in prefix)
+        beta = m = 0
+        victims: list[int] = []
+        for p in q:
+            rel = kb.relation(p, w)
+            if rel is None:
+                victims.append(p)
+            else:
+                m += 1
+                beta += rel == -1
+        victims.sort()
         responses: Counter[int] = Counter()
         failed = False
         for e in victims:
@@ -464,7 +465,8 @@ def solve_from_results(plan: RecursivePlan,
 
     Every plan query must be answered: deduction could stand in for a
     missing fan answer, but queries_used counts physical plan entries
-    (overlapping fans resubmit their shared queries).
+    (overlapping fans resubmit their shared queries).  The solved order is
+    returned only if it agrees with every answer.
     """
     spec = plan.spec
     for q in plan.queries():
@@ -474,6 +476,13 @@ def solve_from_results(plan: RecursivePlan,
     chain, below, above, free = order_superset(closure, plan.superset, spec)
     kb = KnowledgeBase(spec, results, chain, below, above, free)
     res = online.singleton_sort(ReplayOracle(spec, plan.n, kb))
+    # Deduction trusts every answer it reads, so a corrupted answer can steer
+    # the replay to an order that contradicts it or another answer.
+    pos = {e: i for i, e in enumerate(res.middle)}
+    for q, o in results.items():
+        if not match_under(q, o, pos, res.s_set, res.l_set, spec.outputs):
+            raise InconsistentAnswersError(
+                f"the solved order contradicts the answer {sorted(o)} to query {sorted(q)}")
     res = SortResult(res.middle, res.s_set, res.l_set, res.orientation, plan.physical_size)
     return mirror_result(res) if plan.mirrored else res
 

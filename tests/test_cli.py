@@ -145,6 +145,25 @@ def test_solve_rejects_inconsistent_answers(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_solve_refuses_an_order_that_contradicts_an_answer(tmp_path, capsys):
+    # One outcome of an answered 4:2 plan names another element of its
+    # query; the replay reads past it to an order that the corrupted answer
+    # itself contradicts.
+    spec, n = ScaleSpec(4, (2,)), 9
+    plan_path = tmp_path / "plan.json"
+    run_cli(capsys, "plan", "--algo", "recursive", "--scale", "4:2", "--n", str(n),
+            "--out", str(plan_path))
+    oracle = Oracle(HiddenOrder.from_seed(n, 0), spec)
+    results = [{"query": q, "outcome": [1] if q == [0, 1, 2, 4] else sorted(oracle.query(q))}
+               for q in json.loads(plan_path.read_text())["queries"]]
+    results_path = tmp_path / "results.json"
+    results_path.write_text(json.dumps({
+        "algo": "recursive", "spec": "4:2", "n": n, "results": results}))
+    code, out, err = run_cli(capsys, "solve", "--results", str(results_path))
+    assert code == 2 and out == ""
+    assert "answer [1] to query [0, 1, 2, 4]" in err
+
+
 def test_solve_rejects_missing_fan_answer(tmp_path, capsys):
     # Every record of one fan query of an answered recursive plan is dropped.
     spec, n = ScaleSpec(4, (2,)), 11

@@ -100,6 +100,38 @@ class TestElimination:
             shuffled = type(plan)(plan.n, plan.spec, plan.rho, tuple(fans))
             assert eliminate_nonadjacent(shuffled, results).edges() == base
 
+    def test_matches_the_pairwise_rule(self):
+        # Reference: the replacement rule read pair by pair, u answered in
+        # its query and v not answered in the sibling, as a set of edges.
+        rng = random.Random(3)
+        cases = 0
+        for k in range(2, 7):
+            for t in range(1, k + 1):
+                spec = ScaleSpec(k, (t,))
+                rho = min(t, k + 1 - t) - 1
+                least = max(k + 1, 3 * rho + (k - rho) + 1)
+                for n in (least, least + 2, least + 5):
+                    plan = build_adjacency_plan(n, spec)
+                    results = answer_plan(Oracle(HiddenOrder.from_seed(n, cases), spec), plan)
+                    for corrupt in (False, True):
+                        if corrupt:
+                            for q in rng.sample(sorted(results, key=sorted), 3):
+                                results[q] = frozenset({rng.choice(sorted(q))})
+                        support = set().union(*results.values())
+                        expected = {frozenset((a, b)) for a in support for b in support if a != b}
+                        for fan in plan.fans:
+                            for q in map(fan.reference.union, fan.free_sets):
+                                for u in q - fan.reference:
+                                    if u not in results[q]:
+                                        continue
+                                    for v in range(n):
+                                        sibling = q - {u} | {v}
+                                        if v not in q and v not in results.get(sibling, {v}):
+                                            expected.discard(frozenset((u, v)))
+                        assert eliminate_nonadjacent(plan, results).edges() == expected
+                        cases += 1
+        assert cases == 120
+
     def test_missing_answer_raises(self):
         spec = ScaleSpec(3, (2,))
         oracle = Oracle(HiddenOrder.identity(7), spec)
@@ -113,7 +145,7 @@ class TestElimination:
 class TestRebuild:
     def test_path_walk(self):
         adj = AdjacencyMap({1, 2, 3})
-        adj.remove_edge(1, 3)
+        adj.remove_edges([1], [3])
         assert adj.walk() in ([1, 2, 3], [3, 2, 1])
 
     def test_symmetric_reflection(self):

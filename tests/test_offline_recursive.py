@@ -1,6 +1,7 @@
 """Deduction-engine tests: lower bound, pair extraction, deduction, replay."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -11,12 +12,15 @@ from scalesort.core import (
     Oracle,
     PreconditionError,
     RESOLVED,
+    ScaleError,
     ScaleSpec,
     UnsupportedScaleError,
     answer_plan,
     equivalent_up_to_ambiguity,
     outcome_of,
 )
+from scalesort.offline_adjacency import build_adjacency_plan
+from scalesort.offline_adjacency import solve_from_results as solve_adjacency
 from scalesort.offline_recursive import (
     DeductionError,
     KnowledgeBase,
@@ -263,6 +267,36 @@ class TestPlanAndSort:
             solve_from_results(plan, answers)
 
 
+@pytest.mark.parametrize("algo", ["adjacency", "recursive"])
+def test_solve_agrees_with_every_answer_or_refuses(algo):
+    # Fuzz: one to three outcomes of an answered plan are replaced by other
+    # elements of their queries, the shape `scalesort solve` accepts.  A
+    # solve must refuse, or return an order under which every answer holds.
+    build, solve = {"adjacency": (build_adjacency_plan, solve_adjacency),
+                    "recursive": (recursive_plan, solve_from_results)}[algo]
+    rng = random.Random(8)
+    refused = 0
+    for trial in range(60):
+        spec = ScaleSpec(*rng.choice([(3, (2,)), (4, (2,)), (4, (3,))]))
+        n = rng.randint(2 * spec.k + 1, 12)
+        plan = build(n, spec)
+        answers = answer_plan(Oracle(HiddenOrder.from_seed(n, trial), spec), plan)
+        for q in rng.sample(sorted(answers, key=sorted), rng.randint(1, 3)):
+            answers[q] = frozenset({rng.choice(sorted(q))})
+        try:
+            res = solve(plan, answers)
+        except ScaleError:
+            refused += 1
+            continue
+        reading = sorted(res.s_set) + list(res.middle) + sorted(res.l_set)
+        ranks = [0] * n
+        for rank, e in enumerate(reading, 1):
+            ranks[e] = rank
+        for q, out in answers.items():
+            assert outcome_of(ranks, spec.outputs, q) == out, (trial, sorted(q))
+    assert refused  # the corruption is not always harmless
+
+
 class TestOrderSuperset:
     def test_two_fixed_from_closure(self):
         # (5,{3}): closure of the six lowest labels pins the middle pair and
@@ -297,7 +331,7 @@ class TestOrderSuperset:
         assert set(free) == set(members) - {ranked[1]}
 
 
-@pytest.mark.parametrize("k,t,n", [(3, 2, 8), (4, 2, 10), (5, 2, 11), (5, 3, 11)])
+@pytest.mark.parametrize("k,t,n", [(3, 2, 8), (4, 2, 10), (4, 2, 13), (5, 2, 11), (5, 3, 11)])
 def test_deduction_matches_truth_seeded(k, t, n):
     spec = ScaleSpec(k, (t,))
     plan = build_recursive_plan(n, k, t)
