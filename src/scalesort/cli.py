@@ -57,25 +57,14 @@ def _resolve_order(args) -> tuple[int | None, HiddenOrder | None]:
     return (args.seed if args.seed is not None else 0), None
 
 
-def _emit_report(report: harness.ExperimentReport, timing: bool) -> int:
-    print(report.to_json(include_timing=timing))
+def _cmd_sort(args) -> int:
+    spec = ScaleSpec.parse(args.scale)
+    seed, order = _resolve_order(args)
+    algorithm = f"offline_{args.algo}" if args.algo else "online"
+    report, _ = harness.run_experiment(spec, args.n, algorithm, seed=seed, order=order)
+    print(report.to_json(include_timing=args.timing))
     ok = report.bound_satisfied and report.correct is not False
     return 0 if ok else 1
-
-
-def _cmd_sort_online(args) -> int:
-    spec = ScaleSpec.parse(args.scale)
-    seed, order = _resolve_order(args)
-    report, _ = harness.run_experiment(spec, args.n, "online", seed=seed, order=order)
-    return _emit_report(report, args.timing)
-
-
-def _cmd_sort_offline(args) -> int:
-    spec = ScaleSpec.parse(args.scale)
-    seed, order = _resolve_order(args)
-    algorithm = f"offline_{args.algo}"
-    report, _ = harness.run_experiment(spec, args.n, algorithm, seed=seed, order=order)
-    return _emit_report(report, args.timing)
 
 
 # Each offline algorithm: its (n, spec) -> plan and (plan, answers) -> SortResult.
@@ -100,7 +89,11 @@ def _cmd_plan(args) -> int:
 
 
 def _load_results(path: str) -> tuple[str, ScaleSpec, int, dict[frozenset[int], frozenset[int]]]:
-    """Read and check a results file: algo, spec, n and the answered queries."""
+    """Read and check a results file: algo, spec, n and the answered queries.
+
+    A query may be listed more than once, as overlapping recursive fans
+    list it, but only ever with the same outcome.
+    """
     doc = _read_json(path, "results file")
     if not isinstance(doc, dict):
         raise ScaleError("results file must hold a JSON object")
@@ -125,7 +118,10 @@ def _load_results(path: str) -> tuple[str, ScaleSpec, int, dict[frozenset[int], 
             raise ScaleError(f"results[{i}]: query must hold {spec.k} distinct ids in [0, {n})")
         if len(outcome) != spec.s or not outcome <= query:
             raise ScaleError(f"results[{i}]: outcome must be {spec.s} ids of its query")
-        answers[query] = outcome
+        previous = answers.setdefault(query, outcome)
+        if previous != outcome:
+            raise ScaleError(f"results[{i}]: query {sorted(query)} was already answered"
+                             f" {sorted(previous)}, not {sorted(outcome)}")
     return algo, spec, n, answers
 
 
@@ -151,6 +147,9 @@ def _cmd_verify(args) -> int:
     if not args.exhaustive:
         print("nothing to do: pass --exhaustive", file=sys.stderr)
         return 2
+    if args.max_n > harness.MAX_CONSISTENCY_N:
+        raise ScaleError(f"--max-n {args.max_n} is above {harness.MAX_CONSISTENCY_N}, the"
+                         " largest n the brute-force certifier enumerates")
     failures = 0
     checks = 0
     for k in (3, 4):
@@ -217,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sort-online", help="run the adaptive algorithm")
     _order_args(p)
-    p.set_defaults(func=_cmd_sort_online)
+    p.set_defaults(func=_cmd_sort, algo=None)
 
     p = sub.add_parser("sort-offline", help="run an offline algorithm")
     p.add_argument("--algo", choices=tuple(OFFLINE), required=True)
     _order_args(p)
-    p.set_defaults(func=_cmd_sort_offline)
+    p.set_defaults(func=_cmd_sort)
 
     p = sub.add_parser("plan", help="export an offline query plan")
     p.add_argument("--algo", choices=tuple(OFFLINE), required=True)

@@ -22,7 +22,6 @@ Value types (ScaleSpec, HiddenOrder, SortResult) are immutable.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -164,9 +163,6 @@ class HiddenOrder:
         """Element ids sorted from smallest to largest."""
         return tuple(sorted(range(self.n), key=self.ranks.__getitem__))
 
-    def rank_of(self, eid: int) -> int:
-        return self.ranks[eid]
-
     def reversed_(self) -> "HiddenOrder":
         n = self.n
         return HiddenOrder(tuple(n + 1 - r for r in self.ranks))
@@ -181,9 +177,6 @@ class HiddenOrder:
         ranks = list(range(1, n + 1))
         random.Random(seed).shuffle(ranks)
         return cls(tuple(ranks))
-
-    def to_list(self) -> list[int]:
-        return list(self.ranks)
 
 
 def outcome_of(ranks: Sequence[int], outputs: Sequence[int], query: Iterable[int]) -> frozenset[int]:
@@ -213,10 +206,6 @@ class Oracle:
         self._count = 0
         self._transcript: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    @classmethod
-    def from_seed(cls, n: int, spec: ScaleSpec, seed: int) -> "Oracle":
-        return cls(HiddenOrder.from_seed(n, seed), spec)
-
     @property
     def spec(self) -> ScaleSpec:
         return self._spec
@@ -224,10 +213,6 @@ class Oracle:
     @property
     def n(self) -> int:
         return self._order.n
-
-    @property
-    def order(self) -> HiddenOrder:
-        return self._order
 
     @property
     def query_count(self) -> int:
@@ -257,9 +242,6 @@ class Oracle:
         self._count += 1
         return out
 
-    def transcript_json(self) -> str:
-        return transcript_to_json(self._transcript, self.n, self._spec)
-
 
 def answer_plan(oracle, plan) -> dict[frozenset[int], frozenset[int]]:
     """Submit every query of a one-shot plan, in plan order; returns the answer map."""
@@ -271,8 +253,8 @@ class MirroredOracle:
 
     The physical outcome of any query is identical for the (k, {t_i}) scale on
     an order and the (k, {k+1-t_i}) scale on the reversed order, so this view
-    only swaps the instrument description; evaluation, counting, and the
-    transcript are shared with the wrapped oracle.
+    only swaps the instrument description; evaluation and counting are
+    shared with the wrapped oracle.
     """
 
     def __init__(self, inner):
@@ -290,10 +272,6 @@ class MirroredOracle:
     @property
     def query_count(self) -> int:
         return self._inner.query_count
-
-    @property
-    def transcript(self):
-        return self._inner.transcript
 
     def query(self, elements: Iterable[int]) -> frozenset[int]:
         return self._inner.query(elements)
@@ -401,19 +379,3 @@ def equivalent_up_to_ambiguity(result: SortResult, truth: HiddenOrder, spec: Sca
             return True
     return False
 
-
-def transcript_to_json(entries: Sequence[tuple[Sequence[int], Sequence[int]]],
-                       n: int, spec: ScaleSpec) -> str:
-    doc = {
-        "n": n,
-        "spec": spec.text,
-        "entries": [{"query": list(q), "outcome": list(o)} for q, o in entries],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def transcript_from_json(text: str) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int, ScaleSpec]:
-    doc = json.loads(text)
-    spec = ScaleSpec.parse(doc["spec"])
-    entries = [(tuple(sorted(e["query"])), tuple(sorted(e["outcome"]))) for e in doc["entries"]]
-    return entries, int(doc["n"]), spec

@@ -36,30 +36,28 @@ from .core import (
 )
 from . import offline_adjacency, offline_recursive, online
 
-ALGORITHMS = ("online", "offline_adjacency", "offline_recursive")
+# Each algorithm by name, in report order.
+ALGORITHMS = {
+    "online": online.sort_online,
+    "offline_adjacency": offline_adjacency.adjacency_sort,
+    "offline_recursive": offline_recursive.recursive_sort,
+}
+
+# Largest universe the n! consistency enumeration accepts.
+MAX_CONSISTENCY_N = 9
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    n: int
-    entry_count: int
-    consistent_count: int
-    class_description: str
     consistent_orders: tuple[tuple[int, ...], ...]
 
 
 def consistent_permutations(transcript: Sequence[tuple[Sequence[int], Sequence[int]]],
                             n: int, spec: ScaleSpec) -> ConsistencyReport:
-    """Enumerate all n! hidden orders consistent with a transcript (n <= 9).
-
-    class_description reports how the consistent set relates to the
-    ambiguity class of one member, i.e. the orders agreeing with it on
-    everything outside the extreme segments and end blocks: "middle_exact"
-    (the class itself), "middle_up_to_reflection" (the class plus its
-    reflection), or "other".
-    """
-    if n > 9:
-        raise PreconditionError("consistency enumeration is limited to n <= 9")
+    """Enumerate all n! hidden orders consistent with a transcript (n <= MAX_CONSISTENCY_N)."""
+    if n > MAX_CONSISTENCY_N:
+        raise PreconditionError(
+            f"consistency enumeration is limited to n <= {MAX_CONSISTENCY_N}")
     entries = [(tuple(q), frozenset(o)) for q, o in
                dict.fromkeys((tuple(q), tuple(o)) for q, o in transcript)]
     consistent: list[tuple[int, ...]] = []
@@ -72,40 +70,26 @@ def consistent_permutations(transcript: Sequence[tuple[Sequence[int], Sequence[i
                 break
         if ok:
             consistent.append(perm)
-    description = "other"
-    if consistent:
-        base = HiddenOrder(consistent[0])
-        agree = ambiguity_class(base, spec, reflect=False)
-        reflected = ambiguity_class(base, spec, reflect=True)
-        found = set(consistent)
-        if found == agree:
-            description = "middle_exact"
-        elif found == reflected:
-            description = "middle_up_to_reflection"
-    return ConsistencyReport(n, len(entries), len(consistent), description,
-                             tuple(consistent))
+    return ConsistencyReport(tuple(consistent))
 
 
-def ambiguity_class(truth: HiddenOrder, spec: ScaleSpec, reflect: bool | None = None
-                    ) -> set[tuple[int, ...]]:
+def ambiguity_class(truth: HiddenOrder, spec: ScaleSpec) -> set[tuple[int, ...]]:
     """Rank arrays indistinguishable from `truth` by any query sequence.
 
     The holders of each free rank range permute among themselves: the
     extreme segments S and L and the end blocks of a reported run 1..j or
-    k-j+1..k (see ScaleSpec.bottom_block_size).  With reflect (default: the
-    instrument's symmetry) the globally reversed readings are included too.
+    k-j+1..k (see ScaleSpec.bottom_block_size).  For a symmetric instrument
+    the globally reversed readings are included too.
     With n <= 2k a multi-output instrument can leave further middle
     elements unorderable, which this class does not include.
     """
-    if reflect is None:
-        reflect = spec.is_symmetric
     n = truth.n
     low = spec.s_size + spec.bottom_block_size
     high = n - spec.l_size - spec.top_block_size
     free = (range(1, spec.s_size + 1), range(spec.s_size + 1, low + 1),
             range(high + 1, n - spec.l_size + 1), range(n - spec.l_size + 1, n + 1))
     out: set[tuple[int, ...]] = set()
-    for base in (truth, truth.reversed_()) if reflect else (truth,):
+    for base in (truth, truth.reversed_()) if spec.is_symmetric else (truth,):
         by_rank = base.by_rank
         holders = [[by_rank[r - 1] for r in block] for block in free]
         for perms in itertools.product(*(itertools.permutations(block) for block in free)):
@@ -181,13 +165,9 @@ class ExperimentReport:
 
 
 def run_algorithm(oracle: Oracle, algorithm: str) -> SortResult:
-    if algorithm == "online":
-        return online.sort_online(oracle)
-    if algorithm == "offline_adjacency":
-        return offline_adjacency.adjacency_sort(oracle)
-    if algorithm == "offline_recursive":
-        return offline_recursive.recursive_sort(oracle)
-    raise PreconditionError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in ALGORITHMS:
+        raise PreconditionError(f"unknown algorithm {algorithm!r}")
+    return ALGORITHMS[algorithm](oracle)
 
 
 def run_experiment(spec: ScaleSpec, n: int, algorithm: str,
@@ -277,17 +257,14 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
-def verify_information_maximality(spec: ScaleSpec, n: int, algorithm: str,
-                                  seed: int | None = None,
-                                  order: HiddenOrder | None = None) -> bool:
+def verify_information_maximality(spec: ScaleSpec, n: int, algorithm: str, seed: int) -> bool:
     """Run one trial and check the transcript supports exactly the claimed class.
 
     The consistent set of the recorded transcript must coincide with the
     theoretical ambiguity class of the hidden order: the algorithm claimed
     neither more than its queries support nor less than they determine.
     """
-    if order is None:
-        order = HiddenOrder.from_seed(n, seed if seed is not None else 0)
+    order = HiddenOrder.from_seed(n, seed)
     oracle = Oracle(order, spec)
     run_algorithm(oracle, algorithm)
     report = consistent_permutations(oracle.transcript, n, spec)

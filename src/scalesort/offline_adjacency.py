@@ -49,12 +49,7 @@ class QueryPlan:
 
     n: int
     spec: ScaleSpec
-    rho: int
     fans: tuple[Fan, ...]
-
-    @property
-    def reference_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(fan.reference for fan in self.fans)
 
     @property
     def size(self) -> int:
@@ -70,7 +65,7 @@ class QueryPlan:
     def exhaustive(cls, n: int, spec: ScaleSpec) -> "QueryPlan":
         """All C(n, k) queries under a single empty reference set."""
         free = tuple(frozenset(c) for c in itertools.combinations(range(n), spec.k))
-        return cls(n, spec, 0, (Fan(frozenset(), free),))
+        return cls(n, spec, (Fan(frozenset(), free),))
 
 
 def _reference_size(spec: ScaleSpec) -> int:
@@ -121,7 +116,7 @@ def build_adjacency_plan(n: int, spec: ScaleSpec) -> QueryPlan:
         rest = [e for e in range(n) if e not in ref]
         free = tuple(frozenset(c) for c in itertools.combinations(rest, k - rho))
         fans.append(Fan(ref, free))
-    return QueryPlan(n, spec, rho, tuple(fans))
+    return QueryPlan(n, spec, tuple(fans))
 
 
 class AdjacencyMap:
@@ -144,9 +139,6 @@ class AdjacencyMap:
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.neighbors.get(a, ())
-
-    def edges(self) -> set[frozenset[int]]:
-        return {frozenset((a, b)) for a in self.support for b in self.neighbors[a]}
 
     def is_path(self) -> bool:
         m = len(self.support)

@@ -316,14 +316,10 @@ class RecursivePlan:
     def closure_queries(self) -> list[tuple[int, ...]]:
         return list(itertools.combinations(self.superset, self.spec.k))
 
-    def fan_references(self) -> list[tuple[int, ...]]:
-        t = self.spec.outputs[0]
-        return list(itertools.combinations(self.superset, t - 1))
-
     def iter_fan_queries(self):
         """Yields (reference, query) pairs; overlapping fans repeat queries."""
         k, t, n = self.spec.k, self.spec.outputs[0], self.n
-        for ref in self.fan_references():
+        for ref in itertools.combinations(self.superset, t - 1):
             rest = [e for e in range(n) if e not in ref]
             for free in itertools.combinations(rest, k - t + 1):
                 yield ref, ref + free
@@ -428,7 +424,6 @@ class ReplayOracle:
         self._n = n
         self._kb = kb
         self._count = 0
-        self._transcript: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     @property
     def spec(self) -> ScaleSpec:
@@ -442,10 +437,6 @@ class ReplayOracle:
     def query_count(self) -> int:
         return self._count
 
-    @property
-    def transcript(self):
-        return list(self._transcript)
-
     def query(self, elements: Iterable[int]) -> frozenset[int]:
         qs = frozenset(elements)
         if len(qs) != self._spec.k:
@@ -453,7 +444,6 @@ class ReplayOracle:
         out = self._kb.lookup(qs)
         if out is None:
             out = deduce_query(self._kb, qs)
-        self._transcript.append((tuple(sorted(qs)), tuple(sorted(out))))
         self._count += 1
         return out
 

@@ -181,6 +181,29 @@ def test_solve_rejects_missing_fan_answer(tmp_path, capsys):
     assert err == "error: missing answer for plan query [0, 2, 5, 6]\n"
 
 
+def test_solve_rejects_two_outcomes_for_one_query(tmp_path, capsys):
+    # [0, 1, 2, 3] is the closure query of the 4:2 plan at n = 11 and
+    # recurs in every fan; its first record names another of its members.
+    spec, n = ScaleSpec(4, (2,)), 11
+    plan_path = tmp_path / "plan.json"
+    run_cli(capsys, "plan", "--algo", "recursive", "--scale", "4:2", "--n", str(n),
+            "--out", str(plan_path))
+    oracle = Oracle(HiddenOrder.from_seed(n, 2), spec)
+    results = [{"query": q, "outcome": sorted(oracle.query(q))}
+               for q in json.loads(plan_path.read_text())["queries"]]
+    assert results[0]["query"] == [0, 1, 2, 3]
+    assert sum(r["query"] == [0, 1, 2, 3] for r in results) > 1
+    truth = results[0]["outcome"]
+    results[0]["outcome"] = [min({0, 1, 2, 3} - set(truth))]
+    results_path = tmp_path / "results.json"
+    results_path.write_text(json.dumps({
+        "algo": "recursive", "spec": "4:2", "n": n, "results": results}))
+    code, out, err = run_cli(capsys, "solve", "--results", str(results_path))
+    assert code == 2 and out == ""
+    assert "query [0, 1, 2, 3]" in err
+    assert str(results[0]["outcome"]) in err and str(truth) in err
+
+
 @pytest.mark.parametrize("argv", [
     ("sort-offline", "--algo", "adjacency", "--scale", "3:1,2", "--n", "30"),
     ("plan", "--algo", "adjacency", "--scale", "4:3,4", "--n", "13"),
@@ -274,6 +297,12 @@ def test_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--exhaustive", "--max-n", "5")
     assert code == 0
     assert '"failures": 0' in out
+
+
+def test_verify_refuses_a_max_n_beyond_the_certifier(capsys):
+    code, out, err = run_cli(capsys, "verify", "--exhaustive", "--max-n", "10")
+    assert code == 2 and out == ""
+    assert "--max-n 10" in err
 
 
 def test_bad_scale_is_a_clean_error(capsys):
