@@ -150,6 +150,9 @@ def _cmd_verify(args) -> int:
     if args.max_n > harness.MAX_CONSISTENCY_N:
         raise ScaleError(f"--max-n {args.max_n} is above {harness.MAX_CONSISTENCY_N}, the"
                          " largest n the brute-force certifier enumerates")
+    if args.max_n < harness.MIN_VERIFY_N:
+        raise ScaleError(f"--max-n {args.max_n} is below {harness.MIN_VERIFY_N}, the"
+                         " smallest n the sweep over k = 3 and 4 can certify")
     failures = 0
     checks = 0
     for k in (3, 4):
@@ -189,6 +192,10 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         raise ScaleError(
             f"--n-list must be comma-separated integers, got {args.n_list!r}") from exc
+    if not n_list:
+        raise ScaleError("--n-list must name at least one size")
+    if args.trials < 1:
+        raise ScaleError(f"--trials must be at least 1, got {args.trials}")
     algorithms = args.algorithms.split(",") if args.algorithms else ["online"]
     rows = harness.bench_sweep(spec, n_list, args.trials, algorithms,
                                base_seed=args.seed if args.seed is not None else 0,

@@ -15,8 +15,9 @@ positions invariant under i -> k+1-i) additionally cannot tell an ordering
 from its reflection.  With n > 2k, brute force over every complete answer
 set (k <= 4, n = 2k+1) finds no other ambiguity.
 
-The Oracle is single-writer: each evaluation mutates the query counter and
-transcript, so one oracle must not be shared by concurrent queriers.
+The Oracle is single-writer: each evaluation appends to its transcript, whose
+length is the query count, so one oracle must not be shared by concurrent
+queriers.
 Value types (ScaleSpec, HiddenOrder, SortResult) are immutable.
 """
 
@@ -174,6 +175,8 @@ class HiddenOrder:
     @classmethod
     def from_seed(cls, n: int, seed: int) -> "HiddenOrder":
         """Deterministic order: Mersenne Twister seeded with `seed`, Fisher-Yates shuffle."""
+        if n < 0:
+            raise PreconditionError(f"n must be non-negative, got n={n}")
         ranks = list(range(1, n + 1))
         random.Random(seed).shuffle(ranks)
         return cls(tuple(ranks))
@@ -188,9 +191,9 @@ def outcome_of(ranks: Sequence[int], outputs: Sequence[int], query: Iterable[int
 class Oracle:
     """Simulated instrument over a hidden order.
 
-    Every evaluation is recorded: query_count always equals the transcript
-    length, so query accounting cannot be bypassed by callers that only see
-    outcomes.  Repeating a query returns the same value but is counted again.
+    Every evaluation is recorded: query_count is the transcript length, so
+    query accounting cannot be bypassed by callers that only see outcomes.
+    Repeating a query returns the same value but is counted again.
     """
 
     def __init__(self, order: HiddenOrder, spec: ScaleSpec):
@@ -203,7 +206,8 @@ class Oracle:
             raise PreconditionError(f"need n >= k+1 (n={n}, k={spec.k})")
         self._order = order
         self._spec = spec
-        self._count = 0
+        self._rank = order.ranks.__getitem__
+        self._positions = [t - 1 for t in spec.outputs]
         self._transcript: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     @property
@@ -216,7 +220,7 @@ class Oracle:
 
     @property
     def query_count(self) -> int:
-        return self._count
+        return len(self._transcript)
 
     @property
     def transcript(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -224,23 +228,24 @@ class Oracle:
         return list(self._transcript)
 
     def query(self, elements: Iterable[int]) -> frozenset[int]:
-        ids = tuple(elements)
-        spec = self._spec
-        if len(ids) != spec.k:
-            raise QuerySizeError(f"query must contain exactly {spec.k} elements, got {len(ids)}")
-        qset = frozenset(ids)
-        if len(qset) != spec.k:
+        ids = list(elements)
+        k = self._spec.k
+        if len(ids) != k:
+            raise QuerySizeError(f"query must contain exactly {k} elements, got {len(ids)}")
+        if len(set(ids)) != k:
             raise DuplicateElementError("query contains duplicate element ids")
-        ranks = self._order.ranks
-        n = len(ranks)
-        for e in ids:
-            if not 0 <= e < n:
-                raise UnknownElementError(f"element id {e} outside [0, {n})")
-        ordered = sorted(ids, key=ranks.__getitem__)
-        out = frozenset(ordered[t - 1] for t in spec.outputs)
-        self._transcript.append((tuple(sorted(ids)), tuple(sorted(out))))
-        self._count += 1
-        return out
+        ids.sort()
+        n = self._order.n
+        if ids[0] < 0 or ids[-1] >= n:
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise UnknownElementError(f"element id {bad} outside [0, {n})")
+        query = tuple(ids)
+        ids.sort(key=self._rank)
+        out = list(map(ids.__getitem__, self._positions))
+        answer = frozenset(out)
+        out.sort()
+        self._transcript.append((query, tuple(out)))
+        return answer
 
 
 def answer_plan(oracle, plan) -> dict[frozenset[int], frozenset[int]]:
@@ -260,6 +265,7 @@ class MirroredOracle:
     def __init__(self, inner):
         self._inner = inner
         self._spec = inner.spec.mirrored()
+        self.query = inner.query
 
     @property
     def spec(self) -> ScaleSpec:
@@ -272,9 +278,6 @@ class MirroredOracle:
     @property
     def query_count(self) -> int:
         return self._inner.query_count
-
-    def query(self, elements: Iterable[int]) -> frozenset[int]:
-        return self._inner.query(elements)
 
 
 @dataclass(frozen=True)

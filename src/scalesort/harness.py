@@ -45,6 +45,8 @@ ALGORITHMS = {
 
 # Largest universe the n! consistency enumeration accepts.
 MAX_CONSISTENCY_N = 9
+# Smallest universe `scalesort verify` can certify: k + 1 for its smallest arity, k = 3.
+MIN_VERIFY_N = 4
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ def run_experiment(spec: ScaleSpec, n: int, algorithm: str,
     if order is None:
         order = HiddenOrder.from_seed(n, seed)
     if order.n != n:
-        raise PreconditionError("explicit order length does not match n")
+        raise PreconditionError(f"explicit order length {order.n} does not match n={n}")
     oracle = Oracle(order, spec)
     t0 = time.perf_counter()
     result = run_algorithm(oracle, algorithm)

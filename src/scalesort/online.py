@@ -234,12 +234,16 @@ class LevelGrid:
         if value is None:
             raise ScaleError("grid exhausted")
         idx = self.loc[value]
-        self.blocks[idx].remove(value)
-        self.mins[0][idx] = self._block_min(self.blocks[idx])
-        for level in range(1, self.depth):
-            idx //= self.branching
-            children = self.mins[level - 1][idx * self.branching:(idx + 1) * self.branching]
-            self.mins[level][idx] = self._group_min(children)
+        block = self.blocks[idx]
+        block.remove(value)
+        below = self.mins[0]
+        below[idx] = self._block_min(block)
+        branching, group_min = self.branching, self._group_min
+        for row in self.mins[1:]:
+            idx //= branching
+            start = idx * branching
+            row[idx] = group_min(below[start:start + branching])
+            below = row
         return value
 
 
@@ -267,11 +271,12 @@ def _min_finder(oracle, prefix: list[int], pad_pool: list[int], branching: int):
         need = branching - len(block)
         if need > len(pads):
             raise PreconditionError("pad pool exhausted while sizing a query")
-        out = oracle.query(fill + list(block) + pads[:need])
+        out = oracle.query(fill + block + pads[:need])
         extra = out - fill_set
         if len(extra) != 1 or extra.isdisjoint(block):
             raise InconsistentAnswersError("reduced instrument did not isolate one block element")
-        return next(iter(extra))
+        (value,) = extra
+        return value
 
     return find_min
 

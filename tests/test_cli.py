@@ -225,6 +225,14 @@ def test_adjacency_refuses_end_block_instruments(capsys, argv):
      "cannot read order file"),
     (("solve", "--results", "{missing}"), None, "cannot read results file"),
     (("bench", "--scale", "3:2", "--n-list", "8,x"), None, "--n-list must be"),
+    (("bench", "--scale", "4:2", "--n-list", "20", "--trials", "0"), None,
+     "--trials must be at least 1, got 0"),
+    (("bench", "--scale", "4:2", "--n-list", "20", "--trials", "-1"), None,
+     "--trials must be at least 1, got -1"),
+    (("bench", "--scale", "4:2", "--n-list", ""), None, "--n-list must name at least one"),
+    (("verify", "--exhaustive", "--max-n", "3"), None, "--max-n 3 is below 4"),
+    (("sort-online", "--scale", "4:2", "--n", "-1"), None, "n=-1"),
+    (("sort-offline", "--algo", "adjacency", "--scale", "4:2", "--n", "-1"), None, "n=-1"),
 ])
 def test_malformed_inputs_are_clean_errors(tmp_path, capsys, argv, content, message):
     path = tmp_path / "input.json"

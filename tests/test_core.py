@@ -1,6 +1,7 @@
 """Core model tests: instruments, oracle evaluation, result equivalence."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from scalesort.core import (
     SortResult,
     UnknownElementError,
     equivalent_up_to_ambiguity,
+    outcome_of,
 )
 
 
@@ -92,9 +94,13 @@ class TestHiddenOrder:
 class TestEvaluateQuery:
     def test_rank_positions_direct(self):
         # Identity order on 8 elements; the full arity-7 query reports the
-        # elements at in-query ranks 2 and 6.
+        # elements at in-query ranks 2 and 6, whatever iterable carries it,
+        # and each transcript entry holds the sorted query and outcome.
         oracle = Oracle(HiddenOrder.identity(8), ScaleSpec(7, (2, 6)))
-        assert oracle.query(range(7)) == {1, 5}
+        ids = [6, 0, 5, 1, 4, 2, 3]
+        for query in (range(7), ids, tuple(ids), set(ids), iter(ids), (e for e in ids)):
+            assert oracle.query(query) == {1, 5}
+        assert oracle.transcript == [(tuple(range(7)), (1, 5))] * 6
 
     def test_minimum_scale_returns_smallest(self):
         oracle = Oracle(HiddenOrder((3, 1, 2, 4), ), ScaleSpec(3, (1,)))
@@ -110,15 +116,24 @@ class TestEvaluateQuery:
         assert set(range(8)) - seen == {0, 3, 4, 7}
 
     def test_error_cases_leave_state_untouched(self):
+        # The checks run in a fixed order: size, then duplicates, then range.
         oracle = Oracle(HiddenOrder.identity(6), ScaleSpec(3, (2,)))
-        with pytest.raises(QuerySizeError):
-            oracle.query((0, 1))
-        with pytest.raises(DuplicateElementError):
-            oracle.query((0, 1, 1))
-        with pytest.raises(UnknownElementError):
-            oracle.query((0, 1, 17))
-        assert oracle.query_count == 0
-        assert oracle.transcript == []
+        oracle.query((0, 1, 2))
+        rejected = [
+            ((0, 1), QuerySizeError, r"exactly 3 elements, got 2"),
+            ((17, 17), QuerySizeError, r"exactly 3 elements, got 2"),
+            ((0, 1, 1), DuplicateElementError, r"duplicate"),
+            ((17, 17, 0), DuplicateElementError, r"duplicate"),
+            ((0, 1, 17), UnknownElementError, r"element id 17 outside \[0, 6\)"),
+            ((0, 1, -1), UnknownElementError, r"element id -1 outside \[0, 6\)"),
+            ((2, 6, 1), UnknownElementError, r"element id 6 outside \[0, 6\)"),
+            ((-1, 3, 17), UnknownElementError, r"element id (-1|17) outside \[0, 6\)"),
+        ]
+        for query, error, message in rejected:
+            with pytest.raises(error, match=message):
+                oracle.query(query)
+            assert oracle.query_count == len(oracle.transcript) == 1
+        assert oracle.transcript == [((0, 1, 2), (1,))]
 
     def test_count_and_transcript_grow_together(self):
         oracle = Oracle(HiddenOrder.identity(6), ScaleSpec(3, (2,)))
@@ -136,6 +151,25 @@ class TestEvaluateQuery:
         oracle = Oracle(HiddenOrder.identity(10), ScaleSpec(5, (2, 4)))
         with pytest.raises(PreconditionError):
             multi_sort(oracle)                                       # s>1 sorting needs n > 2k
+
+
+# The specs whose online transcripts tests/test_online.py pins.
+@pytest.mark.parametrize("spec_text", ["4:2", "4:3", "7:2,6", "5:1,2", "4:3,4", "6:2,5"])
+def test_query_matches_outcome_of(spec_text):
+    """Seeded differential check: Oracle.query against the bare outcome_of."""
+    spec = ScaleSpec.parse(spec_text)
+    n = 3 * spec.k
+    order = HiddenOrder.from_seed(n, 11)
+    oracle = Oracle(order, spec)
+    rng = random.Random(spec_text)
+    expected = []
+    for _ in range(400):
+        query = rng.sample(range(n), spec.k)
+        outcome = outcome_of(order.ranks, spec.outputs, query)
+        assert oracle.query(query) == outcome
+        expected.append((tuple(sorted(query)), tuple(sorted(outcome))))
+    assert oracle.transcript == expected
+    assert oracle.query_count == len(expected)
 
 
 @settings(max_examples=40, deadline=None)
