@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .core import HiddenOrder, ScaleError, ScaleSpec
+from .core import HiddenOrder, PreconditionError, ScaleError, ScaleSpec, UnsupportedScaleError
 from . import harness, offline_adjacency, offline_recursive
 
 
@@ -163,10 +163,13 @@ def _cmd_verify(args) -> int:
                     try:
                         ok = harness.verify_information_maximality(
                             spec, n, algorithm, seed=args.seed)
-                    except ScaleError:
+                        status = "ok" if ok else "FAIL"
+                    except (PreconditionError, UnsupportedScaleError):
                         continue  # configuration below this algorithm's floor
+                    except ScaleError as exc:
+                        ok = False
+                        status = f"FAIL ({type(exc).__name__}: {exc})"
                     checks += 1
-                    status = "ok" if ok else "FAIL"
                     print(f"{spec.text} n={n} {algorithm}: {status}")
                     if not ok:
                         failures += 1

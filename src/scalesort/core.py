@@ -15,17 +15,22 @@ positions invariant under i -> k+1-i) additionally cannot tell an ordering
 from its reflection.  With n > 2k, brute force over every complete answer
 set (k <= 4, n = 2k+1) finds no other ambiguity.
 
-The Oracle is single-writer: each evaluation appends to its transcript, whose
-length is the query count, so one oracle must not be shared by concurrent
-queriers.
+The Oracle is single-writer: each evaluation appends its sorted query ids
+and then its sorted outcome ids to one flat array("i") store, k + s ids per
+query, and the query count is the store's length over k + s; so one oracle
+must not be shared by concurrent queriers.  Element ids are C ints, which
+caps them at 2**31 - 1, far beyond any HiddenOrder that fits in memory.
 Value types (ScaleSpec, HiddenOrder, SortResult) are immutable.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Mapping
 
 RESOLVED = "resolved"
 REFLECTION_AMBIGUOUS = "reflection_ambiguous"
@@ -188,12 +193,57 @@ def outcome_of(ranks: Sequence[int], outputs: Sequence[int], query: Iterable[int
     return frozenset(ordered[t - 1] for t in outputs)
 
 
+class Transcript(Sequence):
+    """Read-only (query, outcome) pairs of sorted id tuples over an oracle's store.
+
+    A snapshot: it covers the queries recorded when it was taken, and later
+    queries do not change it.  It indexes, iterates and compares equal like
+    the list of pairs it stands for, and has that list's repr.
+    """
+
+    __slots__ = ("_store", "_k", "_width", "_stop")
+
+    def __init__(self, store: array, k: int, s: int):
+        self._store = store
+        self._k = k
+        self._width = k + s
+        self._stop = len(store)
+
+    def __len__(self) -> int:
+        return self._stop // self._width
+
+    def __getitem__(self, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("transcript index out of range")
+        base = index * self._width
+        return (tuple(self._store[base:base + self._k]),
+                tuple(self._store[base + self._k:base + self._width]))
+
+    def __iter__(self):
+        k = self._k
+        for row in zip(*[islice(self._store, self._stop)] * self._width):
+            yield row[:k], row[k:]
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Transcript)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class Oracle:
     """Simulated instrument over a hidden order.
 
-    Every evaluation is recorded: query_count is the transcript length, so
-    query accounting cannot be bypassed by callers that only see outcomes.
-    Repeating a query returns the same value but is counted again.
+    Every evaluation is recorded in one flat array("i") store: the k sorted
+    query ids, then the s sorted outcome ids.  query_count is the store's
+    length over k + s, so query accounting cannot be bypassed by callers
+    that only see outcomes, and a query rejected by validation writes
+    nothing.  Repeating a query returns the same value but is counted again.
     """
 
     def __init__(self, order: HiddenOrder, spec: ScaleSpec):
@@ -208,7 +258,9 @@ class Oracle:
         self._spec = spec
         self._rank = order.ranks.__getitem__
         self._positions = [t - 1 for t in spec.outputs]
-        self._transcript: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._width = spec.k + spec.s
+        self._store = array("i")
+        self._record = self._store.fromlist
 
     @property
     def spec(self) -> ScaleSpec:
@@ -220,12 +272,12 @@ class Oracle:
 
     @property
     def query_count(self) -> int:
-        return len(self._transcript)
+        return len(self._store) // self._width
 
     @property
-    def transcript(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Recorded (query, outcome) pairs as sorted id tuples."""
-        return list(self._transcript)
+    def transcript(self) -> Transcript:
+        """Recorded (query, outcome) pairs as sorted id tuples, as of now."""
+        return Transcript(self._store, self._spec.k, self._spec.s)
 
     def query(self, elements: Iterable[int]) -> frozenset[int]:
         ids = list(elements)
@@ -239,12 +291,15 @@ class Oracle:
         if ids[0] < 0 or ids[-1] >= n:
             bad = ids[0] if ids[0] < 0 else ids[-1]
             raise UnknownElementError(f"element id {bad} outside [0, {n})")
-        query = tuple(ids)
+        # fromlist writes all k ids or, on a non-integer id, none; past it
+        # the ids are ints in [0, n) and nothing below can fail.
+        record = self._record
+        record(ids)
         ids.sort(key=self._rank)
         out = list(map(ids.__getitem__, self._positions))
         answer = frozenset(out)
         out.sort()
-        self._transcript.append((query, tuple(out)))
+        record(out)
         return answer
 
 

@@ -7,8 +7,9 @@ import json
 
 import pytest
 
+from scalesort import online
 from scalesort.cli import main
-from scalesort.core import HiddenOrder, Oracle, ScaleSpec
+from scalesort.core import HiddenOrder, InconsistentAnswersError, Oracle, ScaleSpec
 from scalesort.offline_adjacency import adjacency_sort
 from scalesort.offline_recursive import recursive_sort
 
@@ -305,6 +306,27 @@ def test_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--exhaustive", "--max-n", "5")
     assert code == 0
     assert '"failures": 0' in out
+
+
+def test_verify_counts_algorithm_faults(capsys, monkeypatch):
+    # Only the floor errors skip a check; any other ScaleError is a failure
+    # that names its instrument, n and algorithm.
+    code, out, _ = run_cli(capsys, "verify", "--exhaustive", "--max-n", "5")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {"checks": 16, "failures": 0}
+
+    def broken_min_finder(*args):
+        def find_min(block):
+            raise InconsistentAnswersError("reduced instrument did not isolate one block element")
+        return find_min
+
+    monkeypatch.setattr(online, "_min_finder", broken_min_finder)
+    code, out, _ = run_cli(capsys, "verify", "--exhaustive", "--max-n", "5")
+    assert code == 1
+    *lines, summary = out.splitlines()
+    failed = [line for line in lines if "FAIL (InconsistentAnswersError" in line]
+    assert failed and json.loads(summary)["failures"] == len(failed)
+    assert any(line.startswith("3:2 n=4 online: FAIL") for line in failed)
 
 
 def test_verify_refuses_a_max_n_beyond_the_certifier(capsys):

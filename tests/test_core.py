@@ -1,12 +1,16 @@
 """Core model tests: instruments, oracle evaluation, result equivalence."""
 
+import gc
 import itertools
 import random
+import tracemalloc
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalesort import core
 from scalesort.core import (
     DuplicateElementError,
     HiddenOrder,
@@ -151,6 +155,89 @@ class TestEvaluateQuery:
         oracle = Oracle(HiddenOrder.identity(10), ScaleSpec(5, (2, 4)))
         with pytest.raises(PreconditionError):
             multi_sort(oracle)                                       # s>1 sorting needs n > 2k
+
+
+class TestTranscript:
+    """Oracle.transcript is a read-only snapshot that behaves like a list of pairs."""
+
+    @staticmethod
+    def _oracle():
+        oracle = Oracle(HiddenOrder.identity(8), ScaleSpec(5, (2, 4)))
+        for query in ([7, 0, 3, 5, 1], [2, 4, 6, 1, 0], [0, 1, 2, 3, 4]):
+            oracle.query(query)
+        return oracle
+
+    PAIRS = [((0, 1, 3, 5, 7), (1, 5)), ((0, 1, 2, 4, 6), (1, 4)), ((0, 1, 2, 3, 4), (1, 3))]
+
+    def test_len_index_and_iteration(self):
+        view = self._oracle().transcript
+        assert len(view) == 3
+        assert [view[i] for i in range(3)] == self.PAIRS
+        assert [view[i] for i in (-1, -2, -3)] == self.PAIRS[::-1]
+        for bad in (3, -4, 100):
+            with pytest.raises(IndexError):
+                view[bad]
+        assert list(view) == self.PAIRS
+        assert isinstance(view, Sequence)
+        with pytest.raises(TypeError):
+            hash(view)
+
+    def test_equality_and_repr_match_the_list(self):
+        view = self._oracle().transcript
+        assert view == self.PAIRS and self.PAIRS == view
+        assert not (view != self.PAIRS) and not (self.PAIRS != view)
+        assert view != self.PAIRS[:2] and self.PAIRS[:2] != view
+        assert view != [self.PAIRS[0], self.PAIRS[2], self.PAIRS[1]]
+        assert view == self._oracle().transcript
+        assert repr(view) == repr(list(view)) == repr(self.PAIRS)
+        assert repr(Oracle(HiddenOrder.identity(8), ScaleSpec(5, (2, 4))).transcript) == "[]"
+
+    def test_view_is_a_snapshot(self):
+        oracle = self._oracle()
+        view = oracle.transcript
+        oracle.query([3, 4, 5, 6, 7])
+        assert view == self.PAIRS and len(view) == 3
+        with pytest.raises(IndexError):
+            view[3]
+        assert oracle.transcript == self.PAIRS + [((3, 4, 5, 6, 7), (4, 6))]
+        assert oracle.query_count == 4
+
+    @pytest.mark.parametrize("query,error", [
+        ([0, 1, 2, 3], QuerySizeError),
+        ([0, 1, 2, 3, 4, 5], QuerySizeError),
+        ([0, 1, 2, 3, 3], DuplicateElementError),
+        ([0, 1, 2, 3, 8], UnknownElementError),
+        ([-1, 1, 2, 3, 4], UnknownElementError),
+        ([0, 1, 2, 3, 4.5], TypeError),
+    ])
+    def test_rejected_query_writes_nothing(self, query, error):
+        oracle = self._oracle()
+        with pytest.raises(error):
+            oracle.query(query)
+        assert oracle.query_count == 3
+        assert oracle.transcript == self.PAIRS
+        # A partial write would shift every later entry.
+        oracle.query([3, 4, 5, 6, 7])
+        assert oracle.transcript == self.PAIRS + [((3, 4, 5, 6, 7), (4, 6))]
+
+    def test_retained_memory_per_query(self):
+        # One 4:2 online sort keeps (k + s) * 4 = 20 bytes per query in the
+        # store, plus its growth slack; a list of (tuple, tuple) pairs kept
+        # about 184.
+        from scalesort.online import sort_online
+        order = HiddenOrder.from_seed(2000, 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            oracle = Oracle(order, ScaleSpec(4, (2,)))
+            sort_online(oracle)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        mine = snapshot.filter_traces([tracemalloc.Filter(True, core.__file__)])
+        retained = sum(stat.size for stat in mine.statistics("filename"))
+        assert oracle.query_count > 10_000
+        assert retained / oracle.query_count < 40
 
 
 # The specs whose online transcripts tests/test_online.py pins.
