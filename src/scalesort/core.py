@@ -30,7 +30,8 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Collection, Iterable
 
 RESOLVED = "resolved"
 REFLECTION_AMBIGUOUS = "reflection_ambiguous"
@@ -305,7 +306,7 @@ class Oracle:
 
 def answer_plan(oracle, plan) -> dict[frozenset[int], frozenset[int]]:
     """Submit every query of a one-shot plan, in plan order; returns the answer map."""
-    return {q: oracle.query(sorted(q)) for q in plan.queries()}
+    return {q: oracle.query(q) for q in plan.queries()}
 
 
 class MirroredOracle:
@@ -368,32 +369,33 @@ def mirror_result(result: SortResult) -> SortResult:
                       result.orientation, result.queries_used)
 
 
-def match_under(query: frozenset[int], observed: frozenset[int],
-                middle_pos: Mapping[int, int],
-                s_set: frozenset[int], l_set: frozenset[int],
-                outputs: Sequence[int]) -> bool:
-    """Can the observed outcome arise from this (order, segment) hypothesis?
+def first_contradiction(entries: Iterable[tuple[Collection[int], Collection[int]]],
+                        middle: Sequence[int], s_set: Iterable[int], l_set: Iterable[int],
+                        outputs: Sequence[int]) -> tuple | None:
+    """The first (query, outcome) entry this (order, segment) hypothesis cannot produce, or None.
 
-    Segment members are mutually unordered, so an output position landing in
-    a segment zone only requires *some* segment member of the query there.
+    Each element gets a rank key: -1 in S, its index in middle, len(middle)
+    in L.  Segment members tie, because their mutual order is unknown, so an
+    entry holds iff the query's sorted keys at the output positions are the
+    outcome's sorted keys and the outcome is len(outputs) distinct ids of
+    the query.  An id with no key, or a query too short to reach an output
+    position, contradicts the hypothesis.
     """
-    qs = query & s_set
-    ql = query & l_set
-    qm = sorted((e for e in query if e in middle_pos), key=middle_pos.__getitem__)
-    exact: set[int] = set()
-    need_s = need_l = 0
-    for t in outputs:
-        if t <= len(qs):
-            need_s += 1
-        elif t <= len(qs) + len(qm):
-            exact.add(qm[t - len(qs) - 1])
-        else:
-            need_l += 1
-    obs_s = observed & s_set
-    obs_l = observed & l_set
-    obs_m = observed - s_set - l_set
-    return (obs_m == exact and len(obs_s) == need_s and obs_s <= query
-            and len(obs_l) == need_l and obs_l <= query)
+    key = dict.fromkeys(s_set, -1)
+    key.update(dict.fromkeys(l_set, len(middle)))
+    key.update((e, i) for i, e in enumerate(middle))
+    rank = key.__getitem__
+    s = len(outputs)
+    at_outputs = itemgetter(*(t - 1 for t in outputs))
+    lowest = itemgetter(*range(s))
+    try:
+        for q, o in entries:
+            if (len(o) != s or at_outputs(sorted(map(rank, q))) != lowest(sorted(map(rank, o)))
+                    or len(set(q).intersection(o)) != s):
+                return q, o
+    except (KeyError, IndexError):
+        return q, o
+    return None
 
 
 def true_partition(truth: HiddenOrder, spec: ScaleSpec) -> tuple[frozenset[int], tuple[int, ...], frozenset[int]]:

@@ -17,9 +17,10 @@ same.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     RESOLVED,
@@ -31,7 +32,7 @@ from .core import (
     SortResult,
     UnsupportedScaleError,
     answer_plan,
-    match_under,
+    first_contradiction,
 )
 
 
@@ -179,34 +180,35 @@ def eliminate_nonadjacent(plan: QueryPlan,
     element u -> v; if u was answered and v was not answered in the sibling,
     the edge {u, v} is deleted.  A truly adjacent pair can never be deleted:
     whenever u holds an output position with v absent, v holds the same
-    position in the sibling.
+    position in the sibling.  Each plan query is read once: every member u
+    of its free part joins the answered or the unanswered side of the
+    sibling bucket keyed by the free part without u.
     """
     support: set[int] = set()
-    for q in plan.queries():
-        if q not in results:
-            raise InconsistentAnswersError(f"missing answer for plan query {sorted(q)}")
-        support.update(results[q])
-    adj = AdjacencyMap(support)
+    splits = []
     for fan in plan.fans:
-        buckets: dict[frozenset[int], list[int]] = {}
+        ref = fan.reference
+        answered, unanswered = defaultdict(list), defaultdict(list)
         for free in fan.free_sets:
+            out = results.get(ref | free)
+            if out is None:
+                raise InconsistentAnswersError(
+                    f"missing answer for plan query {sorted(ref | free)}")
+            support.update(out)
             for u in free:
-                buckets.setdefault(free - {u}, []).append(u)
-        for core, swaps in buckets.items():
-            if len(swaps) < 2:
-                continue
-            base = fan.reference | core
-            answered: list[int] = []
-            unanswered: list[int] = []
-            for u in swaps:
-                (answered if u in results[base | {u}] else unanswered).append(u)
-            if answered and unanswered:
-                adj.remove_edges(answered, unanswered)
+                (answered if u in out else unanswered)[free - {u}].append(u)
+        splits.append((answered, unanswered))
+    adj = AdjacencyMap(support)
+    for answered, unanswered in splits:
+        for core, group in answered.items():
+            others = unanswered.get(core)
+            if others:
+                adj.remove_edges(group, others)
     return adj
 
 
 def rebuild_order(adj: AdjacencyMap,
-                  transcript: Sequence[tuple[Sequence[int], Sequence[int]]],
+                  transcript: Collection[tuple[Collection[int], Collection[int]]],
                   spec: ScaleSpec) -> SortResult:
     """Walk the adjacency path, then pin direction and segments against the answers.
 
@@ -225,17 +227,13 @@ def rebuild_order(adj: AdjacencyMap,
     if len(outside) != spec.s_size + spec.l_size:
         raise InconsistentAnswersError(
             f"{len(outside)} elements never answered; expected {spec.s_size + spec.l_size}")
-    entries = [(frozenset(q), frozenset(o)) for q, o in dict.fromkeys(
-        (tuple(q), tuple(o)) for q, o in transcript)]
 
     consistent: list[tuple[tuple[int, ...], frozenset[int], frozenset[int]]] = []
     for middle in (tuple(seq), tuple(reversed(seq))):
-        pos = {e: i for i, e in enumerate(middle)}
         for s_pick in itertools.combinations(outside, spec.s_size):
             s_set = frozenset(s_pick)
             l_set = frozenset(outside) - s_set
-            if all(match_under(q, o, pos, s_set, l_set, spec.outputs)
-                   for q, o in entries):
+            if first_contradiction(transcript, middle, s_set, l_set, spec.outputs) is None:
                 consistent.append((middle, s_set, l_set))
     if not consistent:
         raise InconsistentAnswersError("no ordering hypothesis matches the recorded answers")
@@ -255,8 +253,7 @@ def solve_from_results(plan: QueryPlan,
                        results: Mapping[frozenset[int], frozenset[int]]) -> SortResult:
     """Eliminate, then rebuild the order from the answers to every plan query."""
     adj = eliminate_nonadjacent(plan, results)
-    entries = [(tuple(sorted(q)), tuple(sorted(o))) for q, o in results.items()]
-    res = rebuild_order(adj, entries, plan.spec)
+    res = rebuild_order(adj, results.items(), plan.spec)
     return SortResult(res.middle, res.s_set, res.l_set, res.orientation, plan.size)
 
 

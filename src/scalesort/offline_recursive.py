@@ -34,7 +34,7 @@ from .core import (
     SortResult,
     UnsupportedScaleError,
     answer_plan,
-    match_under,
+    first_contradiction,
     mirror_result,
 )
 from . import online
@@ -468,11 +468,11 @@ def solve_from_results(plan: RecursivePlan,
     res = online.singleton_sort(ReplayOracle(spec, plan.n, kb))
     # Deduction trusts every answer it reads, so a corrupted answer can steer
     # the replay to an order that contradicts it or another answer.
-    pos = {e: i for i, e in enumerate(res.middle)}
-    for q, o in results.items():
-        if not match_under(q, o, pos, res.s_set, res.l_set, spec.outputs):
-            raise InconsistentAnswersError(
-                f"the solved order contradicts the answer {sorted(o)} to query {sorted(q)}")
+    bad = first_contradiction(results.items(), res.middle, res.s_set, res.l_set, spec.outputs)
+    if bad is not None:
+        q, o = bad
+        raise InconsistentAnswersError(
+            f"the solved order contradicts the answer {sorted(o)} to query {sorted(q)}")
     res = SortResult(res.middle, res.s_set, res.l_set, res.orientation, plan.physical_size)
     return mirror_result(res) if plan.mirrored else res
 

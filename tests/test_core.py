@@ -296,6 +296,72 @@ def test_symmetric_reversal_invariance():
         assert fwd.query(combo) == rev.query(combo)
 
 
+def _producible(queries, s_set, middle, l_set, outputs):
+    """Outcome sets each query can take over every reading with S and L permuted."""
+    found = {q: set() for q in queries}
+    for low in itertools.permutations(sorted(s_set)):
+        for high in itertools.permutations(sorted(l_set)):
+            ranks = {e: r for r, e in enumerate(low + tuple(middle) + high)}
+            for q in queries:
+                found[q].add(outcome_of(ranks, outputs, q))
+    return found
+
+
+# Empty S (3:1), empty L (4:4), both empty (4:1,4), symmetric (3:2),
+# multi-output (5:2,4).  Segments two larger than the instrument's let
+# tied segment keys reach an output position while a tied member stays out
+# of the query; there only the check that the outcome lies inside its
+# query tells the outsider apart.
+@pytest.mark.parametrize("spec_text", ["3:1", "4:4", "4:1,4", "3:2", "5:2,4"])
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("grow", [0, 2])
+def test_first_contradiction_matches_brute_force(spec_text, n, grow):
+    spec = ScaleSpec.parse(spec_text)
+    reading = HiddenOrder.from_seed(n, n + grow).by_rank
+    s_size, l_size = spec.s_size + grow, spec.l_size + grow
+    s_set, l_set = frozenset(reading[:s_size]), frozenset(reading[n - l_size:])
+    middle = reading[s_size:n - l_size]
+    queries = list(itertools.combinations(range(n), spec.k))
+    producible = _producible(queries, s_set, middle, l_set, spec.outputs)
+    for q in queries:
+        candidates = [frozenset(o) for o in itertools.combinations(q, spec.s)]
+        # One outcome swaps a member for an outsider, from the same segment
+        # when the query leaves one out.
+        real = min(producible[q], key=sorted)
+        x = min(real)
+        tied = s_set if x in s_set else l_set if x in l_set else frozenset()
+        outsiders = sorted(tied - set(q)) or sorted(set(range(n)) - set(q))
+        candidates.append(real - {x} | {outsiders[0]})
+        for o in candidates:
+            expected = o in producible[q]
+            for entry in ((q, o), (tuple(sorted(q)), tuple(sorted(o)))):
+                found = core.first_contradiction([entry], middle, s_set, l_set, spec.outputs)
+                assert (found is None) == expected, (spec_text, q, sorted(o))
+
+
+def test_first_contradiction_names_the_first_bad_entry():
+    spec = ScaleSpec(4, (2,))
+    middle, s_set, l_set = (1, 2, 3, 4), {0}, {5, 6}
+    good = ((0, 1, 2, 3), (1,))
+    wrong = ((1, 2, 3, 4), (3,))
+    unknown = ((1, 2, 3, 9), (2,))
+    assert core.first_contradiction([good], middle, s_set, l_set, spec.outputs) is None
+    assert core.first_contradiction([good, wrong, unknown], middle, s_set, l_set,
+                                    spec.outputs) == wrong
+    # An id no hypothesis places, or a query too short to reach an output
+    # position, contradicts it; no KeyError or IndexError escapes.
+    assert core.first_contradiction([good, unknown], middle, s_set, l_set,
+                                    spec.outputs) == unknown
+    short = ((1,), (1,))
+    assert core.first_contradiction([good, short], middle, s_set, l_set,
+                                    spec.outputs) == short
+    # Too few or too many outcome ids, a repeated one or an extra outsider
+    # never match.
+    for o in ((), (1, 2), (1, 1), (1, 5)):
+        assert core.first_contradiction([((0, 1, 2, 3), o)], middle, s_set, l_set,
+                                        spec.outputs) == ((0, 1, 2, 3), o)
+
+
 class TestEquivalence:
     def test_exact_match(self):
         spec = ScaleSpec(4, (2,))

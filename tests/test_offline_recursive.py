@@ -18,6 +18,7 @@ from scalesort.core import (
     answer_plan,
     equivalent_up_to_ambiguity,
     outcome_of,
+    true_partition,
 )
 from scalesort.offline_adjacency import build_adjacency_plan
 from scalesort.offline_adjacency import solve_from_results as solve_adjacency
@@ -295,6 +296,56 @@ def test_solve_agrees_with_every_answer_or_refuses(algo):
         for q, out in answers.items():
             assert outcome_of(ranks, spec.outputs, q) == out, (trial, sorted(q))
     assert refused  # the corruption is not always harmless
+
+
+@pytest.mark.parametrize("algo", ["adjacency", "recursive"])
+def test_outcome_outside_its_query_is_refused(algo):
+    # `scalesort solve` checks this shape when it loads a results file; the
+    # library entry points see it unchecked.  Outsiders come from S, from L
+    # (whose members tie in rank) and from the middle.
+    build, solve = {"adjacency": (build_adjacency_plan, solve_adjacency),
+                    "recursive": (recursive_plan, solve_from_results)}[algo]
+    spec, n = ScaleSpec(4, (2,)), 11
+    order = HiddenOrder.from_seed(n, 4)
+    plan = build(n, spec)
+    answers = answer_plan(Oracle(order, spec), plan)
+    s_true, middle, l_true = true_partition(order, spec)
+    for outsider in sorted(s_true) + sorted(l_true) + [middle[3]]:
+        q = max((q for q in answers if outsider not in q), key=sorted)
+        corrupted = dict(answers)
+        corrupted[q] = frozenset({outsider})
+        with pytest.raises(InconsistentAnswersError):
+            solve(plan, corrupted)
+
+
+class _ReadRecorder(dict):
+    """An answer map that notes every query the deduction engine looks up."""
+
+    def __init__(self, answers):
+        super().__init__(answers)
+        self.read = set()
+
+    def get(self, q, default=None):
+        self.read.add(q)
+        return super().get(q, default)
+
+
+def test_final_check_names_an_answer_the_replay_never_reads():
+    spec, n = ScaleSpec(4, (2,)), 11
+    plan = recursive_plan(n, spec)
+    answers = answer_plan(Oracle(HiddenOrder.from_seed(n, 2), spec), plan)
+    recorder = _ReadRecorder(answers)
+    solve_from_results(plan, recorder)
+    closure = set(map(frozenset, plan.closure_queries))
+    unread = [q for q in answers if q not in recorder.read and q not in closure]
+    q = min(unread, key=sorted)
+    wrong = min(q - answers[q])
+    corrupted = dict(answers)
+    corrupted[q] = frozenset({wrong})
+    query_text = ", ".join(map(str, sorted(q)))
+    with pytest.raises(InconsistentAnswersError,
+                       match=rf"contradicts the answer \[{wrong}\] to query \[{query_text}\]"):
+        solve_from_results(plan, corrupted)
 
 
 class TestOrderSuperset:
