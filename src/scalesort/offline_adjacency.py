@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -253,8 +253,7 @@ def solve_from_results(plan: QueryPlan,
                        results: Mapping[frozenset[int], frozenset[int]]) -> SortResult:
     """Eliminate, then rebuild the order from the answers to every plan query."""
     adj = eliminate_nonadjacent(plan, results)
-    res = rebuild_order(adj, results.items(), plan.spec)
-    return SortResult(res.middle, res.s_set, res.l_set, res.orientation, plan.size)
+    return replace(rebuild_order(adj, results.items(), plan.spec), queries_used=plan.size)
 
 
 def adjacency_sort(oracle: Oracle) -> SortResult:

@@ -13,16 +13,16 @@ Deduction candidates are enumerated over every admissible configuration
 (substitute position zone, reference members below the target, target inside
 the reference); a query resolves when exactly one candidate survives across
 substitutes.  The one genuinely ambiguous signature (k = 2t, substitute
-above everything) is settled by a multiplicity count over a k+1 pool, which
-is sound there because the ambiguity itself certifies that every pool
-member outranks both candidates.
+above everything) leaves the target and one neighbor as candidates;
+`_pair_order_tiebreak` settles it by looking up a recorded query that holds
+both, whose answered candidate is the neighbor.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
@@ -36,6 +36,7 @@ from .core import (
     answer_plan,
     first_contradiction,
     mirror_result,
+    outcome_of,
 )
 from . import online
 
@@ -385,16 +386,10 @@ def order_superset(closure_results: Mapping[frozenset[int], frozenset[int]],
     s_size = spec.s_size
     l_size = spec.l_size
     per_middle: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
-    entries = [(set(q), out) for q, out in closure_results.items()]
+    entries = closure_results.items()
     for perm in itertools.permutations(members):
-        ok = True
         index = {e: i for i, e in enumerate(perm)}
-        for qset, out in entries:
-            ordered = sorted(qset, key=index.__getitem__)
-            if frozenset(ordered[t - 1] for t in spec.outputs) != out:
-                ok = False
-                break
-        if not ok:
+        if any(outcome_of(index, spec.outputs, q) != out for q, out in entries):
             continue
         mid = perm[s_size:mlen - l_size]
         lo, hi = set(perm[:s_size]), set(perm[mlen - l_size:])
@@ -473,7 +468,7 @@ def solve_from_results(plan: RecursivePlan,
         q, o = bad
         raise InconsistentAnswersError(
             f"the solved order contradicts the answer {sorted(o)} to query {sorted(q)}")
-    res = SortResult(res.middle, res.s_set, res.l_set, res.orientation, plan.physical_size)
+    res = replace(res, queries_used=plan.physical_size)
     return mirror_result(res) if plan.mirrored else res
 
 

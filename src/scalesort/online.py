@@ -21,7 +21,7 @@ Each trial is strictly sequential; every query depends on earlier answers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .core import (
@@ -30,7 +30,6 @@ from .core import (
     RESOLVED,
     REFLECTION_AMBIGUOUS,
     InconsistentAnswersError,
-    ScaleError,
     ScaleSpec,
     SortResult,
     UnsupportedScaleError,
@@ -179,81 +178,38 @@ def _first_pass(oracle, universe: list[int],
     return _staged(stats, "partition", _partition, oracle, universe, candidates)
 
 
-class LevelGrid:
-    """k'-ary block hierarchy over a fixed item list with cached block minima.
+def _ordered_by_extraction(items: list[int], branching: int, find_min):
+    """Yield `items` from smallest to largest through a `branching`-ary block hierarchy.
 
-    Level 1 chunks the items into blocks of at most `branching`; each higher
-    level chunks the blocks below it, up to a single top block at depth d.
-    Blocks holding a single live value resolve without a query.  After the
-    overall minimum is removed, only the blocks along its chain are
-    re-evaluated; all other cached minima stay valid.
+    Row 0 caches the minimum of each block of at most `branching` items;
+    each higher row caches the minimum of `branching` consecutive entries of
+    the row below, up to a single top entry.  A group with at most one live
+    value resolves without a query.  After each extraction only the chain of
+    the minimum just taken is re-evaluated; every other cached minimum stays
+    valid.
     """
+    def resolve(group):
+        live = [v for v in group if v is not None]
+        if len(live) > 1:
+            return find_min(live)
+        return live[0] if live else None
 
-    def __init__(self, items: list[int], branching: int, find_min):
-        if branching < 1:
-            raise ScaleError("branching must be positive")
-        self.branching = branching
-        self.find_min = find_min
-        self.blocks: list[list[int]] = [list(items[i:i + branching])
-                                        for i in range(0, len(items), branching)]
-        sizes = [len(self.blocks)]
-        while sizes[-1] > 1:
-            sizes.append(-(-sizes[-1] // branching))
-        self.depth = len(sizes)
-        self.loc = {e: i for i, b in enumerate(self.blocks) for e in b}
-        first: list[int | None] = [self._block_min(b) for b in self.blocks]
-        self.mins: list[list[int | None]] = [first]
-        for size in sizes[1:]:
-            row: list[int | None] = []
-            for g in range(size):
-                children = self.mins[-1][g * branching:(g + 1) * branching]
-                row.append(self._group_min(children))
-            self.mins.append(row)
-
-    def _block_min(self, block: list[int]) -> int | None:
-        if not block:
-            return None
-        if len(block) == 1:
-            return block[0]
-        return self.find_min(block)
-
-    def _group_min(self, children: list[int | None]) -> int | None:
-        live = [c for c in children if c is not None]
-        if not live:
-            return None
-        if len(live) == 1:
-            return live[0]
-        return self.find_min(live)
-
-    def top(self) -> int | None:
-        return self.mins[-1][0]
-
-    def extract(self) -> int:
-        """Remove and return the current overall minimum, re-querying only its chain."""
-        value = self.top()
-        if value is None:
-            raise ScaleError("grid exhausted")
-        idx = self.loc[value]
-        block = self.blocks[idx]
-        block.remove(value)
-        below = self.mins[0]
-        below[idx] = self._block_min(block)
-        branching, group_min = self.branching, self._group_min
-        for row in self.mins[1:]:
+    blocks = [items[i:i + branching] for i in range(0, len(items), branching)]
+    home = {e: i for i, block in enumerate(blocks) for e in block}
+    rows = [[resolve(block) for block in blocks]]
+    while len(rows[-1]) > 1:
+        below = rows[-1]
+        rows.append([resolve(below[i:i + branching]) for i in range(0, len(below), branching)])
+    for _ in items:
+        value = rows[-1][0]
+        idx = home[value]
+        group = blocks[idx]
+        group.remove(value)
+        for row in rows:
+            row[idx] = resolve(group)
             idx //= branching
-            start = idx * branching
-            row[idx] = group_min(below[start:start + branching])
-            below = row
-        return value
-
-
-def _ordered_by_extraction(items: list[int], branching: int, find_min) -> list[int]:
-    if not items:
-        return []
-    if len(items) == 1:
-        return list(items)
-    grid = LevelGrid(items, branching, find_min)
-    return [grid.extract() for _ in range(len(items))]
+            group = row[idx * branching:(idx + 1) * branching]
+        yield value
 
 
 def _min_finder(oracle, prefix: list[int], pad_pool: list[int], branching: int):
@@ -351,41 +307,29 @@ def _staged_multi_sort(oracle, stats: MultiSortStats) -> SortResult:
     # Reduce to a (k', 1) instrument: every query includes S'; pads from L.
     middle_rest = sorted(set(universe) - sprime - l_set)
     find_min = _min_finder(oracle, sorted(sprime), sorted(l_set), spec.k_prime)
-    ordered_rest = _ordered_by_extraction(middle_rest, spec.k_prime, find_min)
+    ordered_rest = list(_ordered_by_extraction(middle_rest, spec.k_prime, find_min))
 
-    # Sort S' minus S with a max-extraction instrument: k - t1 known-large
-    # pads on top, known-small pads from S when a batch runs short.
-    remnant = sorted(sprime - s_first)
+    # Sort S' minus S by repeated max knockouts: each query holds the
+    # champion and t1 - 1 challengers, known-small pads from S when a batch
+    # runs short, and k - t1 known-large pads on top.
     extra_from_mid = (k - t1) - len(l_set)
     if extra_from_mid > len(ordered_rest):
         raise PreconditionError("not enough sorted elements to pad the max instrument")
     pads_large = sorted(l_set) + ordered_rest[len(ordered_rest) - extra_from_mid:]
     pads_large_set = set(pads_large)
     small_pool = sorted(s_first)
+    remnant = sorted(sprime - s_first)
     remnant_desc: list[int] = []
-    remaining_set = set(remnant)
-    while remaining_set:
-        if len(remaining_set) == 1:
-            remnant_desc.append(remaining_set.pop())
-            break
-        items = sorted(remaining_set)
-        champ: int | None = None
-        i = 0
-        while i < len(items) or champ is None:
-            take = t1 - (1 if champ is not None else 0)
-            group = ([champ] if champ is not None else []) + items[i:i + take]
-            i += take
-            if len(group) == 1:
-                champ = group[0]
-                continue
-            pads_small = small_pool[:t1 - len(group)]
-            out = oracle.query(group + pads_small + pads_large)
-            top = out - pads_large_set
+    while remnant:
+        champ = remnant[0]
+        for i in range(1, len(remnant), t1 - 1):
+            group = [champ] + remnant[i:i + t1 - 1]
+            top = oracle.query(group + small_pool[:t1 - len(group)] + pads_large) - pads_large_set
             if len(top) != 1:
                 raise InconsistentAnswersError("max instrument did not isolate one element")
-            champ = next(iter(top))
+            (champ,) = top
         remnant_desc.append(champ)
-        remaining_set.remove(champ)
+        remnant.remove(champ)
     middle_full = list(reversed(remnant_desc)) + ordered_rest
 
     s_set, l_out = s_first, l_set
@@ -436,8 +380,7 @@ def _prefix_run_sort(oracle, stats: MultiSortStats) -> SortResult:
     prefix = sorted(block)[:j - 1]
     rest = sorted(working - block)
     find_min = _min_finder(oracle, prefix, sorted(l_set), spec.k_prime)
-    ordered_rest = _ordered_by_extraction(rest, spec.k_prime, find_min)
-    middle = tuple(sorted(block)) + tuple(ordered_rest)
+    middle = tuple(sorted(block)) + tuple(_ordered_by_extraction(rest, spec.k_prime, find_min))
     return SortResult(middle, frozenset(), l_set, RESOLVED,
                       oracle.query_count - start)
 
@@ -450,28 +393,19 @@ def multi_sort_with_stats(oracle) -> tuple[SortResult, MultiSortStats]:
         raise PreconditionError(
             f"multi-output sorting needs n > 2k (n={oracle.n}, k={spec.k}); below that "
             "an indistinguishable middle segment can exist")
-    t1, ts, k = spec.outputs[0], spec.outputs[-1], spec.k
     stats = MultiSortStats()
-    if t1 == 1:
-        if spec.outputs == tuple(range(1, ts + 1)) and ts < k:
-            return _prefix_run_sort(oracle, stats), stats
+    if spec.bottom_block_size == spec.s:
+        return _prefix_run_sort(oracle, stats), stats
+    if spec.top_block_size == spec.s:
+        res = mirror_result(_prefix_run_sort(MirroredOracle(oracle), stats))
+        # The unorderable top block comes back reversed; restore the
+        # label-order presentation used on the prefix side.
+        top = res.middle[-spec.s:]
+        return replace(res, middle=res.middle[:-spec.s] + tuple(sorted(top))), stats
+    if spec.outputs[0] == 1 or spec.outputs[-1] == spec.k:
         raise UnsupportedScaleError(
-            "instruments reporting position 1 are supported only for a"
-            " consecutive prefix of positions")
-    if ts == k:
-        mirrored = MirroredOracle(oracle)
-        mspec = mirrored.spec
-        if mspec.outputs == tuple(range(1, mspec.outputs[-1] + 1)) and mspec.outputs[-1] < k:
-            res = mirror_result(_prefix_run_sort(mirrored, stats))
-            # The unorderable top block comes back reversed; restore the
-            # label-order presentation used on the prefix side.
-            j = mspec.outputs[-1]
-            middle = res.middle[:-j] + tuple(sorted(res.middle[-j:]))
-            return SortResult(middle, res.s_set, res.l_set, res.orientation,
-                              res.queries_used), stats
-        raise UnsupportedScaleError(
-            "instruments reporting position k are supported only for a"
-            " consecutive suffix of positions")
+            "instruments reporting position 1 or k are supported only for a"
+            " consecutive run of positions ending there")
     return _staged_multi_sort(oracle, stats), stats
 
 

@@ -255,11 +255,26 @@ def test_small_universe_middle_gap_class():
 
 
 def test_grid_depth_matches_ceiling_log():
-    from scalesort.online import LevelGrid
+    # The singleton bound's d: no extraction after the first re-evaluates
+    # more than one group per row of the hierarchy, ceil_log(k', n') rows.
+    from scalesort.online import _ordered_by_extraction
     for branching in (2, 3, 4):
         for size in range(1, 40):
-            grid = LevelGrid(list(range(size)), branching, min)
-            assert grid.depth == ceil_log(branching, max(size, 2))
+            calls = []
+
+            def find_min(group):
+                assert len(group) <= branching
+                calls.append(1)
+                return min(group)
+
+            ordered = _ordered_by_extraction(list(range(size)), branching, find_min)
+            assert next(ordered) == 0
+            costs = []
+            for expected in range(1, size):
+                before = len(calls)
+                assert next(ordered) == expected
+                costs.append(len(calls) - before)
+            assert max(costs, default=0) <= ceil_log(branching, max(size, 2))
 
 
 def test_bench_recursive_row():

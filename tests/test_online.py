@@ -18,7 +18,6 @@ from scalesort.core import (
     true_partition,
 )
 from scalesort.online import (
-    LevelGrid,
     MultiSortStats,
     _first_pass,
     _min_finder,
@@ -102,24 +101,24 @@ class TestPartitionSL:
 class TestTournament:
     def test_first_pass_query_count(self):
         # (3,{1}) identity on 11: nine middle elements in three blocks plus
-        # one level-two block: four queries to surface the first minimum.
+        # one level-two block: four queries surface the first minimum, and
+        # two more re-evaluate its chain before it is yielded.
         oracle = Oracle(HiddenOrder.identity(11), ScaleSpec(3, (1,)))
-        find_calls = []
+        found = []
 
         def find_min(block):
-            find_calls.append(tuple(block))
-            out = oracle.query(list(block) + sorted({9, 10})[:3 - len(block)])
-            return next(iter(out))
+            out = oracle.query(list(block) + [9, 10][:3 - len(block)])
+            found.append(next(iter(out)))
+            return found[-1]
 
-        grid = LevelGrid(list(range(9)), 3, find_min)
-        assert grid.depth == 2
-        assert oracle.query_count == 4
-        assert grid.top() == 0
+        assert next(_ordered_by_extraction(list(range(9)), 3, find_min)) == 0
+        assert found == [0, 3, 6, 0, 1, 1]
+        assert oracle.query_count == 6
 
     def test_singleton_element_costs_nothing(self):
         oracle = Oracle(HiddenOrder.identity(8), ScaleSpec(4, (2,)))
         find_min = _min_finder(oracle, [0], [6, 7], oracle.spec.k_prime)
-        assert _ordered_by_extraction([3], oracle.spec.k_prime, find_min) == [3]
+        assert list(_ordered_by_extraction([3], oracle.spec.k_prime, find_min)) == [3]
         assert oracle.query_count == 0
 
     def test_stage_bound_and_order(self):
@@ -127,26 +126,27 @@ class TestTournament:
         oracle = Oracle(HiddenOrder.identity(30), spec)
         find_min = _min_finder(oracle, [0], [28, 29], spec.k_prime)
         middle = list(range(1, 28))
-        assert _ordered_by_extraction(middle, spec.k_prime, find_min) == middle
+        assert list(_ordered_by_extraction(middle, spec.k_prime, find_min)) == middle
         assert oracle.query_count <= 2 * 3 * 27  # depth 3 over 27 items
 
     def test_extraction_locality(self):
-        # After the first pass each extraction re-queries at most d blocks.
+        # 27 items under branching 3: building the hierarchy costs 9 + 3 + 1
+        # queries; each extraction then re-queries at most one block per row.
         spec = ScaleSpec(3, (1,))
         oracle = Oracle(HiddenOrder.identity(29), spec)
-        middle = set(range(27))
         find_min_calls = []
-        inner = _min_finder(oracle, [], sorted({27, 28}), 3)
+        inner = _min_finder(oracle, [], [27, 28], 3)
 
         def find_min(block):
             find_min_calls.append(1)
             return inner(block)
 
-        grid = LevelGrid(sorted(middle), 3, find_min)
-        assert grid.depth == 3
-        for _ in range(27):
+        ordered = _ordered_by_extraction(list(range(27)), 3, find_min)
+        assert next(ordered) == 0
+        assert len(find_min_calls) == 13 + 3
+        for expected in range(1, 27):
             before = len(find_min_calls)
-            grid.extract()
+            assert next(ordered) == expected
             assert len(find_min_calls) - before <= 3
 
 
@@ -258,6 +258,11 @@ class TestMultiPipeline:
             multi_sort(Oracle(HiddenOrder.identity(11), ScaleSpec(5, (1, 3))))
         with pytest.raises(UnsupportedScaleError):
             multi_sort(Oracle(HiddenOrder.identity(9), ScaleSpec(4, (1, 2, 4))))
+        # Position k without a consecutive suffix.
+        with pytest.raises(UnsupportedScaleError):
+            multi_sort(Oracle(HiddenOrder.identity(11), ScaleSpec(5, (3, 5))))
+        with pytest.raises(UnsupportedScaleError):
+            multi_sort(Oracle(HiddenOrder.identity(11), ScaleSpec(5, (2, 4, 5))))
 
 
 class TestPrefixRunInstrument:
@@ -300,6 +305,13 @@ PINNED = {
                  "79a5dc5efcde1e94b45b04406321990ed1f58f1fd3c619cae0ccb00f3f0b5ced"),
     "6:2,5": (6, "06c18211217af32629d24c0c052144424e10b31f99af608e9074e27daff59dfa",
                  "c36ba62dc7ba056303fc42bd5ca7b324857e43e39cecee5357c923fce64a9962"),
+    # The two below were pinned before the block hierarchy became a generator.
+    # A knockout whose queries hold three remnant members (t1 = 3).
+    "8:3,7": (7, "eca584c78c239c3594e5a01a248b07b8397009def10844c40410eae4af365af3",
+                 "db8a00ae9ee7163836fdb352542e6fa1f3ca6a4bda11c317f71bf412693661e0"),
+    # Asymmetric with equal segment sizes: the closing direction check runs.
+    "6:2,3,5": (8, "ddc449da36d0fa582056ebde93ea53998d7a91c9914c517b38bc44287ef06efd",
+                   "a1271b6ab936d1c5036ec4d28b46425b79c78c5e32277ef57ff0f3edb1ae9608"),
 }
 
 
@@ -323,6 +335,8 @@ PINNED_STAGES = {
     "5:1,2": (999, 0, 3, 1, 665),
     "4:3,4": (999, 0, 2, 1, 998),
     "6:2,5": (998, 13, 2, 4, 0),
+    "8:3,7": (997, 48, 3, 3, 0),
+    "6:2,3,5": (666, 10, 2, 4, 0),
 }
 
 
