@@ -46,7 +46,8 @@ def _order_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", required=True, help='instrument, e.g. "7:2,6"')
     parser.add_argument("--n", type=int, required=True, help="universe size")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--seed", type=int, default=None, help="seeded hidden order")
+    # A string default, unlike 0 itself, still lets "--seed 0" conflict with --order.
+    group.add_argument("--seed", type=int, default="0", help="seeded hidden order")
     group.add_argument("--order", default=None,
                        help="JSON file with an explicit rank array")
 
@@ -54,7 +55,7 @@ def _order_args(parser: argparse.ArgumentParser) -> None:
 def _resolve_order(args) -> tuple[int | None, HiddenOrder | None]:
     if args.order is not None:
         return None, _load_order(args.order)
-    return (args.seed if args.seed is not None else 0), None
+    return args.seed, None
 
 
 def _cmd_sort(args) -> int:
@@ -145,8 +146,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     if not args.exhaustive:
-        print("nothing to do: pass --exhaustive", file=sys.stderr)
-        return 2
+        raise ScaleError("nothing to do: pass --exhaustive")
     if args.max_n > harness.MAX_CONSISTENCY_N:
         raise ScaleError(f"--max-n {args.max_n} is above {harness.MAX_CONSISTENCY_N}, the"
                          " largest n the brute-force certifier enumerates")
@@ -180,8 +180,7 @@ def _cmd_verify(args) -> int:
 def _cmd_lower_bound(args) -> int:
     spec = ScaleSpec.parse(args.scale)
     if spec.s != 1:
-        print("lower-bound applies to singleton instruments", file=sys.stderr)
-        return 2
+        raise ScaleError("lower-bound applies to singleton instruments")
     value = offline_recursive.offline_lower_bound(args.n, spec.k, spec.outputs[0])
     print(json.dumps({"spec": spec.text, "n": args.n, "lower_bound": value},
                      sort_keys=True))
@@ -201,7 +200,7 @@ def _cmd_bench(args) -> int:
         raise ScaleError(f"--trials must be at least 1, got {args.trials}")
     algorithms = args.algorithms.split(",") if args.algorithms else ["online"]
     rows = harness.bench_sweep(spec, n_list, args.trials, algorithms,
-                               base_seed=args.seed if args.seed is not None else 0,
+                               base_seed=args.seed,
                                include_timing=args.timing)
     csv_text = harness.rows_to_csv(rows)
     if args.csv:

@@ -369,22 +369,29 @@ def mirror_result(result: SortResult) -> SortResult:
                       result.orientation, result.queries_used)
 
 
+def rank_keys(middle: Sequence[int], below: Iterable[int], above: Iterable[int]) -> dict[int, int]:
+    """Key of each placed element: -1 below, its index in middle, len(middle) above.
+
+    Members of below or of above tie; middle wins over below, below over above.
+    """
+    key = dict.fromkeys(above, len(middle))
+    key.update(dict.fromkeys(below, -1))
+    key.update(zip(middle, range(len(middle))))
+    return key
+
+
 def first_contradiction(entries: Iterable[tuple[Collection[int], Collection[int]]],
                         middle: Sequence[int], s_set: Iterable[int], l_set: Iterable[int],
                         outputs: Sequence[int]) -> tuple | None:
     """The first (query, outcome) entry this (order, segment) hypothesis cannot produce, or None.
 
-    Each element gets a rank key: -1 in S, its index in middle, len(middle)
-    in L.  Segment members tie, because their mutual order is unknown, so an
-    entry holds iff the query's sorted keys at the output positions are the
-    outcome's sorted keys and the outcome is len(outputs) distinct ids of
-    the query.  An id with no key, or a query too short to reach an output
-    position, contradicts the hypothesis.
+    Each element gets its `rank_keys` key with S below and L above middle,
+    so segment members tie, and an entry holds iff the query's sorted keys
+    at the output positions are the outcome's sorted keys and the outcome
+    is len(outputs) distinct ids of the query.  An id with no key, or a
+    query too short to reach an output position, contradicts the hypothesis.
     """
-    key = dict.fromkeys(s_set, -1)
-    key.update(dict.fromkeys(l_set, len(middle)))
-    key.update((e, i) for i, e in enumerate(middle))
-    rank = key.__getitem__
+    rank = rank_keys(middle, s_set, l_set).__getitem__
     s = len(outputs)
     at_outputs = itemgetter(*(t - 1 for t in outputs))
     lowest = itemgetter(*range(s))

@@ -36,7 +36,7 @@ from .core import (
     answer_plan,
     first_contradiction,
     mirror_result,
-    outcome_of,
+    rank_keys,
 )
 from . import online
 
@@ -118,11 +118,7 @@ class KnowledgeBase:
         object.__setattr__(self, "universe", frozenset().union(*self.known))
         object.__setattr__(self, "substitutes",
                            self.chain + self.above + self.below + self.free_pool)
-        # below < every chain index < above; chain membership wins, then below.
-        position = dict.fromkeys(self.above, len(self.chain))
-        position.update(dict.fromkeys(self.below, -1))
-        position.update((e, i) for i, e in enumerate(self.chain))
-        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_position", rank_keys(self.chain, self.below, self.above))
 
     def lookup(self, q: frozenset[int]) -> frozenset[int] | None:
         hit = self.known.get(q)
@@ -388,8 +384,7 @@ def order_superset(closure_results: Mapping[frozenset[int], frozenset[int]],
     per_middle: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
     entries = closure_results.items()
     for perm in itertools.permutations(members):
-        index = {e: i for i, e in enumerate(perm)}
-        if any(outcome_of(index, spec.outputs, q) != out for q, out in entries):
+        if first_contradiction(entries, perm, (), (), spec.outputs) is not None:
             continue
         mid = perm[s_size:mlen - l_size]
         lo, hi = set(perm[:s_size]), set(perm[mlen - l_size:])

@@ -3,14 +3,13 @@
 Every pipeline opens with the same first pass (`_first_pass`): eliminate
 everything that ever gets answered, so that what remains is S union L,
 then split that remainder into S and L with one fixed reference query per
-candidate, oriented by segment size when the sizes differ.  Singleton
-instruments then repeatedly extract minima of the rest through a k'-ary
-block hierarchy whose queries always pre-fill the bottom of the instrument
-with S.  Multi-output instruments grow a prefix S' of the first ts - 1
-elements by re-running the first pass on the shrinking set, reduce to a
-(k', 1) instrument by always including S', and finish the leftover prefix
-elements with a max-extraction instrument padded by known-large elements;
-instruments reporting a run of positions 1..j (or k-j+1..k) identify the
+candidate, oriented by segment size when the sizes differ.  The staged
+pipeline then grows a prefix S' of the first ts - 1 elements by re-running
+the first pass on the shrinking set, extracts the rest through a k'-ary
+block hierarchy of reduced (k', 1) queries that always include S', and
+orders the leftover prefix elements by a max knockout padded by known-large
+elements.  A singleton (k, t) instrument is its s = 1 case, where S' is S.
+Instruments reporting a run of positions 1..j (or k-j+1..k) identify the
 unorderable end block by keep-elimination instead of growing a prefix.
 
 All choices the method leaves open ("pick a k-set", "pick an arbitrary
@@ -237,34 +236,19 @@ def _min_finder(oracle, prefix: list[int], pad_pool: list[int], branching: int):
     return find_min
 
 
-def _small_pool_sort(oracle) -> SortResult:
-    """Exhaustive fallback for n < 2k - 2, where no k-1 reference set exists.
-
-    Every possible query is evaluated and the order is reconstructed from
-    the complete answer table by adjacency elimination.
-    """
-    plan = offline_adjacency.QueryPlan.exhaustive(oracle.n, oracle.spec)
-    return offline_adjacency.solve_from_results(plan, answer_plan(oracle, plan))
-
-
 def singleton_sort(oracle) -> SortResult:
-    """Full adaptive pipeline for a (k, t) instrument."""
+    """Full adaptive pipeline for a (k, t) instrument: the s = 1 case of `_staged_sort`."""
     spec = oracle.spec
     if spec.s != 1:
         raise UnsupportedScaleError("singleton_sort requires a single output position")
     t, k = spec.outputs[0], spec.k
     if t - 1 > k - t:
         return mirror_result(singleton_sort(MirroredOracle(oracle)))
-    n = oracle.n
-    start = oracle.query_count
-    if n < 2 * k - 2:
-        return _small_pool_sort(oracle)
-    universe = list(range(n))
-    s_set, l_set, labelled = _first_pass(oracle, universe)
-    find_min = _min_finder(oracle, sorted(s_set), sorted(l_set), spec.k_prime)
-    middle = _ordered_by_extraction(sorted(set(universe) - s_set - l_set), spec.k_prime, find_min)
-    return SortResult(tuple(middle), s_set, l_set,
-                      RESOLVED if labelled else REFLECTION_AMBIGUOUS, oracle.query_count - start)
+    if oracle.n < 2 * k - 2:
+        # No k-1 reference set exists: ask every query, rebuild by adjacency.
+        plan = offline_adjacency.QueryPlan.exhaustive(oracle.n, spec)
+        return offline_adjacency.solve_from_results(plan, answer_plan(oracle, plan))
+    return _staged_sort(oracle, MultiSortStats())
 
 
 def multi_elimination_bound(n: int, spec: ScaleSpec) -> int:
@@ -272,7 +256,12 @@ def multi_elimination_bound(n: int, spec: ScaleSpec) -> int:
     return -(-(n - (spec.k - spec.s)) // spec.s)
 
 
-def _staged_multi_sort(oracle, stats: MultiSortStats) -> SortResult:
+def _staged_sort(oracle, stats: MultiSortStats) -> SortResult:
+    """The pipeline for every shape but an end-block run; `stats` gets its stage counts.
+
+    A singleton (mirrored to t - 1 <= k - t) runs no prefix round, knockout
+    or direction probe: its S' is S, and an unlabelled singleton is symmetric.
+    """
     spec = oracle.spec
     n, k = oracle.n, spec.k
     t1, ts = spec.outputs[0], spec.outputs[-1]
@@ -307,19 +296,19 @@ def _staged_multi_sort(oracle, stats: MultiSortStats) -> SortResult:
     # Reduce to a (k', 1) instrument: every query includes S'; pads from L.
     middle_rest = sorted(set(universe) - sprime - l_set)
     find_min = _min_finder(oracle, sorted(sprime), sorted(l_set), spec.k_prime)
-    ordered_rest = list(_ordered_by_extraction(middle_rest, spec.k_prime, find_min))
+    middle = list(_ordered_by_extraction(middle_rest, spec.k_prime, find_min))
 
-    # Sort S' minus S by repeated max knockouts: each query holds the
-    # champion and t1 - 1 challengers, known-small pads from S when a batch
-    # runs short, and k - t1 known-large pads on top.
+    # Sort S' minus S by repeated max knockouts, each maximum going to the
+    # front of the middle: each query holds the champion and t1 - 1
+    # challengers, known-small pads from S when a batch runs short, and
+    # k - t1 known-large pads on top.
     extra_from_mid = (k - t1) - len(l_set)
-    if extra_from_mid > len(ordered_rest):
+    if extra_from_mid > len(middle):
         raise PreconditionError("not enough sorted elements to pad the max instrument")
-    pads_large = sorted(l_set) + ordered_rest[len(ordered_rest) - extra_from_mid:]
+    pads_large = sorted(l_set) + middle[len(middle) - extra_from_mid:]
     pads_large_set = set(pads_large)
     small_pool = sorted(s_first)
     remnant = sorted(sprime - s_first)
-    remnant_desc: list[int] = []
     while remnant:
         champ = remnant[0]
         for i in range(1, len(remnant), t1 - 1):
@@ -328,30 +317,22 @@ def _staged_multi_sort(oracle, stats: MultiSortStats) -> SortResult:
             if len(top) != 1:
                 raise InconsistentAnswersError("max instrument did not isolate one element")
             (champ,) = top
-        remnant_desc.append(champ)
         remnant.remove(champ)
-    middle_full = list(reversed(remnant_desc)) + ordered_rest
+        middle.insert(0, champ)
 
-    s_set, l_out = s_first, l_set
-    orientation = RESOLVED
-    if not labelled:
-        if spec.is_symmetric:
-            orientation = REFLECTION_AMBIGUOUS
-        else:
-            # One check query over known middle elements pins the direction.
-            if len(middle_full) < k:
-                raise PreconditionError("middle too small for the direction check")
-            probe = middle_full[:k]
-            predicted = frozenset(probe[t - 1] for t in spec.outputs)
-            actual = oracle.query(probe)
-            if actual != predicted:
-                reversed_pred = frozenset(probe[k - t] for t in spec.outputs)
-                if actual != reversed_pred:
-                    raise InconsistentAnswersError("direction check matched neither reading")
-                middle_full.reverse()
-                s_set, l_out = l_out, s_set
-    return SortResult(tuple(middle_full), s_set, l_out, orientation,
-                      oracle.query_count - start)
+    orientation = REFLECTION_AMBIGUOUS if not labelled and spec.is_symmetric else RESOLVED
+    flip = False
+    if not labelled and not spec.is_symmetric:
+        # One check query over known middle elements pins the direction.
+        if len(middle) < k:
+            raise PreconditionError("middle too small for the direction check")
+        probe = middle[:k]
+        actual = oracle.query(probe)
+        flip = actual != frozenset(probe[t - 1] for t in spec.outputs)
+        if flip and actual != frozenset(probe[k - t] for t in spec.outputs):
+            raise InconsistentAnswersError("direction check matched neither reading")
+    result = SortResult(tuple(middle), s_first, l_set, orientation, oracle.query_count - start)
+    return mirror_result(result) if flip else result
 
 
 def _prefix_run_sort(oracle, stats: MultiSortStats) -> SortResult:
@@ -388,7 +369,7 @@ def _prefix_run_sort(oracle, stats: MultiSortStats) -> SortResult:
 def multi_sort_with_stats(oracle) -> tuple[SortResult, MultiSortStats]:
     spec = oracle.spec
     if spec.s < 2:
-        raise UnsupportedScaleError("multi_sort requires at least two output positions")
+        raise UnsupportedScaleError("multi_sort_with_stats requires at least two output positions")
     if oracle.n <= 2 * spec.k:
         raise PreconditionError(
             f"multi-output sorting needs n > 2k (n={oracle.n}, k={spec.k}); below that "
@@ -406,15 +387,9 @@ def multi_sort_with_stats(oracle) -> tuple[SortResult, MultiSortStats]:
         raise UnsupportedScaleError(
             "instruments reporting position 1 or k are supported only for a"
             " consecutive run of positions ending there")
-    return _staged_multi_sort(oracle, stats), stats
-
-
-def multi_sort(oracle) -> SortResult:
-    """Full adaptive pipeline for a (k, t1, ..., ts) instrument with s >= 2."""
-    result, _ = multi_sort_with_stats(oracle)
-    return result
+    return _staged_sort(oracle, stats), stats
 
 
 def sort_online(oracle) -> SortResult:
     """Dispatch to the singleton or multi-output pipeline."""
-    return singleton_sort(oracle) if oracle.spec.s == 1 else multi_sort(oracle)
+    return singleton_sort(oracle) if oracle.spec.s == 1 else multi_sort_with_stats(oracle)[0]

@@ -85,6 +85,17 @@ def test_explicit_order_file(tmp_path, capsys):
     assert json.loads(out)["correct"] is True
 
 
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_seed_and_order_conflict(tmp_path, capsys, seed):
+    # --seed defaults to 0, yet naming it next to --order is still refused.
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(list(HiddenOrder.from_seed(9, 5).ranks)))
+    with pytest.raises(SystemExit) as exc:
+        main(["sort-online", "--scale", "3:2", "--n", "9", "--seed", seed, "--order", str(path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("algo,spec_text,n", [
     ("adjacency", "4:2", 11),
     ("recursive", "4:2", 11),
@@ -234,6 +245,9 @@ def test_adjacency_refuses_end_block_instruments(capsys, argv):
     (("verify", "--exhaustive", "--max-n", "3"), None, "--max-n 3 is below 4"),
     (("sort-online", "--scale", "4:2", "--n", "-1"), None, "n=-1"),
     (("sort-offline", "--algo", "adjacency", "--scale", "4:2", "--n", "-1"), None, "n=-1"),
+    (("verify",), None, "nothing to do: pass --exhaustive"),
+    (("lower-bound", "--scale", "4:2,3", "--n", "10"), None,
+     "lower-bound applies to singleton instruments"),
 ])
 def test_malformed_inputs_are_clean_errors(tmp_path, capsys, argv, content, message):
     path = tmp_path / "input.json"

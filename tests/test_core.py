@@ -151,10 +151,10 @@ class TestEvaluateQuery:
             Oracle(HiddenOrder.identity(3), ScaleSpec(3, (2,)))      # needs n >= k+1
 
     def test_multi_sorting_floor(self):
-        from scalesort.online import multi_sort
+        from scalesort.online import sort_online
         oracle = Oracle(HiddenOrder.identity(10), ScaleSpec(5, (2, 4)))
         with pytest.raises(PreconditionError):
-            multi_sort(oracle)                                       # s>1 sorting needs n > 2k
+            sort_online(oracle)                                      # s>1 sorting needs n > 2k
 
 
 class TestTranscript:

@@ -12,6 +12,7 @@ from scalesort.core import (
     Oracle,
     RESOLVED,
     REFLECTION_AMBIGUOUS,
+    ScaleError,
     ScaleSpec,
     UnsupportedScaleError,
     equivalent_up_to_ambiguity,
@@ -24,7 +25,6 @@ from scalesort.online import (
     _ordered_by_extraction,
     _partition,
     multi_elimination_bound,
-    multi_sort,
     multi_sort_with_stats,
     singleton_sort,
     sort_online,
@@ -189,7 +189,7 @@ class TestMultiPipeline:
     def test_end_to_end_identity(self):
         spec = ScaleSpec(6, (2, 4))
         oracle = Oracle(HiddenOrder.identity(20), spec)
-        res = multi_sort(oracle)
+        res = sort_online(oracle)
         assert res.middle == tuple(range(1, 18))
         assert res.s_set == {0} and res.l_set == {18, 19}
         assert res.orientation == RESOLVED
@@ -206,7 +206,7 @@ class TestMultiPipeline:
         for seed in range(6):
             order = HiddenOrder.from_seed(20, seed)
             oracle = Oracle(order, spec)
-            res = multi_sort(oracle)
+            res = sort_online(oracle)
             assert res.orientation == REFLECTION_AMBIGUOUS
             assert equivalent_up_to_ambiguity(res, order, spec)
 
@@ -228,7 +228,7 @@ class TestMultiPipeline:
         for seed in range(10):
             order = HiddenOrder.from_seed(16, seed)
             oracle = Oracle(order, spec)
-            res = multi_sort(oracle)
+            res = sort_online(oracle)
             assert res.orientation == RESOLVED
             assert equivalent_up_to_ambiguity(res, order, spec)
 
@@ -249,20 +249,20 @@ class TestMultiPipeline:
         spec = ScaleSpec(4, (3, 4))
         order = HiddenOrder.identity(12)
         oracle = Oracle(order, spec)
-        res = multi_sort(oracle)
+        res = sort_online(oracle)
         assert res.s_set == {0, 1} and res.l_set == frozenset()
         assert res.middle == tuple(range(2, 12))
 
     def test_unsupported_shapes(self):
         with pytest.raises(UnsupportedScaleError):
-            multi_sort(Oracle(HiddenOrder.identity(11), ScaleSpec(5, (1, 3))))
+            sort_online(Oracle(HiddenOrder.identity(11), ScaleSpec(5, (1, 3))))
         with pytest.raises(UnsupportedScaleError):
-            multi_sort(Oracle(HiddenOrder.identity(9), ScaleSpec(4, (1, 2, 4))))
+            sort_online(Oracle(HiddenOrder.identity(9), ScaleSpec(4, (1, 2, 4))))
         # Position k without a consecutive suffix.
         with pytest.raises(UnsupportedScaleError):
-            multi_sort(Oracle(HiddenOrder.identity(11), ScaleSpec(5, (3, 5))))
+            sort_online(Oracle(HiddenOrder.identity(11), ScaleSpec(5, (3, 5))))
         with pytest.raises(UnsupportedScaleError):
-            multi_sort(Oracle(HiddenOrder.identity(11), ScaleSpec(5, (2, 4, 5))))
+            sort_online(Oracle(HiddenOrder.identity(11), ScaleSpec(5, (2, 4, 5))))
 
 
 class TestPrefixRunInstrument:
@@ -275,7 +275,7 @@ class TestPrefixRunInstrument:
         for seed in range(20):
             order = HiddenOrder.from_seed(12, seed)
             oracle = Oracle(order, spec)
-            res = multi_sort(oracle)
+            res = sort_online(oracle)
             _, mid_true, l_true = true_partition(order, spec)
             assert res.l_set == l_true
             assert set(res.middle[:2]) == set(mid_true[:2])
@@ -286,7 +286,7 @@ class TestPrefixRunInstrument:
         spec = ScaleSpec(5, (1, 2))
         order = HiddenOrder.identity(20)
         oracle = Oracle(order, spec)
-        res = multi_sort(oracle)
+        res = sort_online(oracle)
         assert equivalent_up_to_ambiguity(res, order, spec)
 
 
@@ -348,6 +348,42 @@ def test_online_stage_counts_are_pinned(spec_text):
             stats.extra) == PINNED_STAGES[spec_text]
 
 
+def _sweep_cases():
+    """Singletons k = 2..7 at every t and n = k+1..2k+4, then every
+    multi-output position set with k = 3..7 at n = 2k+3."""
+    for k in range(2, 8):
+        for t in range(1, k + 1):
+            for n in range(k + 1, 2 * k + 5):
+                yield ScaleSpec(k, (t,)), n
+    for k in range(3, 8):
+        for s in range(2, k):
+            for outputs in itertools.combinations(range(1, k + 1), s):
+                yield ScaleSpec(k, outputs), 2 * k + 3
+
+
+# sha256 over repr((transcript, result or error class name)) of 920 small
+# online sorts, pinned while singletons still had a pipeline of their own.
+PINNED_SWEEP = "826bc2a6757cf8ba3bcc09b65bf0eefeb3e87a526646ab35f577ddc07d633fcb"
+
+
+def test_small_sweep_is_pinned():
+    # Every shape, every size from the small-pool fallback up, both
+    # orientations and every error path: one digest over all of them.
+    digest = hashlib.sha256()
+    count = 0
+    for spec, n in _sweep_cases():
+        for seed in (0, 1):
+            oracle = Oracle(HiddenOrder.from_seed(n, seed), spec)
+            try:
+                res = sort_online(oracle)
+            except ScaleError as exc:
+                res = type(exc).__name__
+            digest.update(repr((oracle.transcript, res)).encode())
+            count += 1
+    assert count == 920
+    assert digest.hexdigest() == PINNED_SWEEP
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10**6), st.data())
 def test_singleton_bound_holds_on_every_trial(k, seed, data):
@@ -373,5 +409,5 @@ def test_multi_equivalence_on_random_instruments(k, seed, data):
     n = data.draw(st.integers(2 * k + 1, 2 * k + 12))
     order = HiddenOrder.from_seed(n, seed)
     oracle = Oracle(order, spec)
-    res = multi_sort(oracle)
+    res = sort_online(oracle)
     assert equivalent_up_to_ambiguity(res, order, spec)

@@ -4,7 +4,9 @@ Every public top-level function and class of `src/scalesort`, and every
 public method, must be named (as a name or an attribute) somewhere other
 than its own definition: in the package, in the acceptance suite or in the
 benchmark.  Unit tests do not count as callers, so a member that only they
-reach fails here.
+reach fails here.  Every private top-level function and method must be named
+somewhere in the package other than its own definition, so a helper left
+behind by a refactor fails too.
 """
 
 import ast
@@ -27,23 +29,39 @@ def _uses(node: ast.AST) -> Counter:
     return found
 
 
-def _public_definitions(tree: ast.Module):
-    """(qualified name, node) of each public top-level function, class and method."""
+def _definitions(tree: ast.Module, private: bool):
+    """(qualified name, node) of each top-level function, class and method
+    whose name is private (one leading underscore) or public, as asked."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def wanted(node: ast.AST) -> bool:
+        return (isinstance(node, kinds) and not node.name.startswith("__")
+                and node.name.startswith("_") == private)
+
     for node in tree.body:
-        if isinstance(node, kinds) and not node.name.startswith("_"):
+        if wanted(node):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, kinds) and not member.name.startswith("_"):
+                if wanted(member):
                     yield f"{node.name}.{member.name}", member
 
 
+def _unused(paths, private: bool) -> list[str]:
+    """Definitions in the package that nothing in `paths` names beyond themselves."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in set(PACKAGE + paths)}
+    uses = sum((_uses(trees[path]) for path in paths), Counter())
+    return [f"{path.name}:{node.lineno} {qualname}"
+            for path in PACKAGE
+            for qualname, node in _definitions(trees[path], private)
+            if uses[node.name] == _uses(node)[node.name]]
+
+
 def test_every_public_member_has_a_caller():
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in PACKAGE + CALLERS}
-    uses = sum((_uses(tree) for tree in trees.values()), Counter())
-    unused = [f"{path.name}:{node.lineno} {qualname}"
-              for path in PACKAGE
-              for qualname, node in _public_definitions(trees[path])
-              if uses[node.name] == _uses(node)[node.name]]
+    unused = _unused(PACKAGE + CALLERS, private=False)
     assert not unused, "public members nothing calls: " + ", ".join(unused)
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    unused = _unused(PACKAGE, private=True)
+    assert not unused, "private helpers nothing in the package names: " + ", ".join(unused)
