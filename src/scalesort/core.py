@@ -255,7 +255,8 @@ class Oracle:
         # middle segment, but its individual queries are still well defined).
         if n < spec.k + 1:
             raise PreconditionError(f"need n >= k+1 (n={n}, k={spec.k})")
-        self._order = order
+        self._n = n
+        self._k = spec.k
         self._spec = spec
         self._rank = order.ranks.__getitem__
         self._positions = [t - 1 for t in spec.outputs]
@@ -269,7 +270,7 @@ class Oracle:
 
     @property
     def n(self) -> int:
-        return self._order.n
+        return self._n
 
     @property
     def query_count(self) -> int:
@@ -282,13 +283,13 @@ class Oracle:
 
     def query(self, elements: Iterable[int]) -> frozenset[int]:
         ids = list(elements)
-        k = self._spec.k
+        k = self._k
         if len(ids) != k:
             raise QuerySizeError(f"query must contain exactly {k} elements, got {len(ids)}")
         if len(set(ids)) != k:
             raise DuplicateElementError("query contains duplicate element ids")
         ids.sort()
-        n = self._order.n
+        n = self._n
         if ids[0] < 0 or ids[-1] >= n:
             bad = ids[0] if ids[0] < 0 else ids[-1]
             raise UnknownElementError(f"element id {bad} outside [0, {n})")

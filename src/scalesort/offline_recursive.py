@@ -449,9 +449,20 @@ def solve_from_results(plan: RecursivePlan,
     returned only if it agrees with every answer.
     """
     spec = plan.spec
-    for q in plan.queries():
-        if q not in results:
-            raise InconsistentAnswersError(f"missing answer for plan query {sorted(q)}")
+    k, t = spec.k, spec.outputs[0]
+    # The plan's distinct queries are exactly the k-subsets of range(n) with
+    # at least t - 1 superset members, so counting the answered ones is
+    # enough; only a shortfall pays for rebuilding the plan to name one.
+    superset = frozenset(plan.superset)
+    universe = frozenset(range(plan.n))
+    m = len(superset)
+    distinct = sum(comb(m, j) * comb(plan.n - m, k - j) for j in range(t - 1, k + 1))
+    answered = sum(len(q) == k and q <= universe and len(q & superset) >= t - 1
+                   for q in results)
+    if answered < distinct:
+        for q in plan.queries():
+            if q not in results:
+                raise InconsistentAnswersError(f"missing answer for plan query {sorted(q)}")
     closure = {q: results[q] for q in map(frozenset, plan.closure_queries)}
     chain, below, above, free = order_superset(closure, plan.superset, spec)
     kb = KnowledgeBase(spec, results, chain, below, above, free)

@@ -185,13 +185,17 @@ def _ordered_by_extraction(items: list[int], branching: int, find_min):
     the row below, up to a single top entry.  A group with at most one live
     value resolves without a query.  After each extraction only the chain of
     the minimum just taken is re-evaluated; every other cached minimum stays
-    valid.
+    valid.  Emptied entries hold None; only a group holding one is filtered.
     """
+    if branching < 2:
+        raise PreconditionError(f"extraction needs branching >= 2, got {branching}")
+
     def resolve(group):
-        live = [v for v in group if v is not None]
-        if len(live) > 1:
-            return find_min(live)
-        return live[0] if live else None
+        if None in group:
+            group = [v for v in group if v is not None]
+        if len(group) > 1:
+            return find_min(group)
+        return group[0] if group else None
 
     blocks = [items[i:i + branching] for i in range(0, len(items), branching)]
     home = {e: i for i, block in enumerate(blocks) for e in block}
@@ -207,7 +211,8 @@ def _ordered_by_extraction(items: list[int], branching: int, find_min):
         for row in rows:
             row[idx] = resolve(group)
             idx //= branching
-            group = row[idx * branching:(idx + 1) * branching]
+            lo = idx * branching
+            group = row[lo:lo + branching]
         yield value
 
 
@@ -221,12 +226,13 @@ def _min_finder(oracle, prefix: list[int], pad_pool: list[int], branching: int):
     fill = list(prefix)
     fill_set = frozenset(fill)
     pads = sorted(pad_pool)
+    query = oracle.query
 
     def find_min(block: list[int]) -> int:
         need = branching - len(block)
         if need > len(pads):
             raise PreconditionError("pad pool exhausted while sizing a query")
-        out = oracle.query(fill + block + pads[:need])
+        out = query(fill + block + pads[:need]) if need else query(fill + block)
         extra = out - fill_set
         if len(extra) != 1 or extra.isdisjoint(block):
             raise InconsistentAnswersError("reduced instrument did not isolate one block element")

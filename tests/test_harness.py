@@ -257,13 +257,16 @@ def test_small_universe_middle_gap_class():
 def test_grid_depth_matches_ceiling_log():
     # The singleton bound's d: no extraction after the first re-evaluates
     # more than one group per row of the hierarchy, ceil_log(k', n') rows.
+    # Every group asked about holds 2 to branching distinct items, never an
+    # emptied entry, also in the tail where most entries are emptied.
     from scalesort.online import _ordered_by_extraction
     for branching in (2, 3, 4):
-        for size in range(1, 40):
+        for size in range(1, 41):
             calls = []
 
             def find_min(group):
-                assert len(group) <= branching
+                assert 2 <= len(group) <= branching
+                assert len(set(group)) == len(group) and set(group) <= set(range(size))
                 calls.append(1)
                 return min(group)
 

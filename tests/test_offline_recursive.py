@@ -267,6 +267,24 @@ class TestPlanAndSort:
                            match=r"missing answer for plan query \[0, 2, 5, 6\]"):
             solve_from_results(plan, answers)
 
+    @pytest.mark.parametrize("extra", [
+        {5, 6, 7, 8},        # no superset member: outside the plan
+        {0, 2, 5},           # too small
+        {0, 2, 5, 6, 7},     # too large
+        {0, 2, 5, 11},       # an id outside range(n)
+    ])
+    def test_missing_answer_replaced_by_a_stray_key_is_refused(self, extra):
+        # The answers hold as many keys as the plan has queries, so only a
+        # key that is not a plan query can stand in for the missing one.
+        spec = ScaleSpec(4, (2,))
+        plan = recursive_plan(11, spec)
+        answers = answer_plan(Oracle(HiddenOrder.from_seed(11, 2), spec), plan)
+        del answers[frozenset({0, 2, 5, 6})]
+        answers[frozenset(extra)] = frozenset({min(extra)})
+        with pytest.raises(InconsistentAnswersError,
+                           match=r"missing answer for plan query \[0, 2, 5, 6\]"):
+            solve_from_results(plan, answers)
+
 
 @pytest.mark.parametrize("algo", ["adjacency", "recursive"])
 def test_solve_agrees_with_every_answer_or_refuses(algo):

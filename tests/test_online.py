@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scalesort.core import (
     HiddenOrder,
     Oracle,
+    PreconditionError,
     RESOLVED,
     REFLECTION_AMBIGUOUS,
     ScaleError,
@@ -128,6 +129,11 @@ class TestTournament:
         middle = list(range(1, 28))
         assert list(_ordered_by_extraction(middle, spec.k_prime, find_min)) == middle
         assert oracle.query_count <= 2 * 3 * 27  # depth 3 over 27 items
+
+    def test_branching_below_two_is_refused(self):
+        # Rows of one-item groups never shrink, so the hierarchy would grow forever.
+        with pytest.raises(PreconditionError, match="branching >= 2"):
+            list(_ordered_by_extraction([0, 1, 2], 1, min))
 
     def test_extraction_locality(self):
         # 27 items under branching 3: building the hierarchy costs 9 + 3 + 1
