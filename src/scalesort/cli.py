@@ -89,16 +89,21 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+_INT = frozenset({int})
+
+
 def _load_results(path: str) -> tuple[str, ScaleSpec, int, dict[frozenset[int], frozenset[int]]]:
     """Read and check a results file: algo, spec, n and the answered queries.
 
     A query may be listed more than once, as overlapping recursive fans
-    list it, but only ever with the same outcome.
+    list it, but only ever with the same outcome.  Each record is released
+    once read, and equal outcomes share one set.
     """
     doc = _read_json(path, "results file")
     if not isinstance(doc, dict):
         raise ScaleError("results file must hold a JSON object")
     algo, text, n, entries = (doc.get(key) for key in ("algo", "spec", "n", "results"))
+    del doc  # drops the echoed plan queries, which are never read
     if algo not in OFFLINE:
         raise ScaleError(f"unknown algo {algo!r}; expected one of {sorted(OFFLINE)}")
     if not isinstance(text, str):
@@ -110,17 +115,24 @@ def _load_results(path: str) -> tuple[str, ScaleSpec, int, dict[frozenset[int], 
         raise ScaleError("results must be a list of {query, outcome} records")
     ids = frozenset(range(n))
     answers: dict[frozenset[int], frozenset[int]] = {}
+    outcomes: dict[frozenset[int], frozenset[int]] = {}
     for i, entry in enumerate(entries):
+        entries[i] = None
         try:
-            query, outcome = frozenset(entry["query"]), frozenset(entry["outcome"])
+            q_list, o_list = entry["query"], entry["outcome"]
+            query, outcome = frozenset(q_list), frozenset(o_list)
         except (KeyError, TypeError) as exc:
             raise ScaleError(f"results[{i}] needs 'query' and 'outcome' lists") from exc
-        if len(query) != spec.k or not query <= ids:
+        # A JSON 1.0 or true equals the id 1, so each id's type is checked too.
+        if (len(query) != spec.k or not query <= ids
+                or not _INT.issuperset(map(type, q_list))):
             raise ScaleError(f"results[{i}]: query must hold {spec.k} distinct ids in [0, {n})")
-        if len(outcome) != spec.s or not outcome <= query:
+        if (len(outcome) != spec.s or not outcome <= query
+                or not _INT.issuperset(map(type, o_list))):
             raise ScaleError(f"results[{i}]: outcome must be {spec.s} ids of its query")
+        outcome = outcomes.setdefault(outcome, outcome)
         previous = answers.setdefault(query, outcome)
-        if previous != outcome:
+        if previous is not outcome:
             raise ScaleError(f"results[{i}]: query {sorted(query)} was already answered"
                              f" {sorted(previous)}, not {sorted(outcome)}")
     return algo, spec, n, answers

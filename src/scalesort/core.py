@@ -306,8 +306,14 @@ class Oracle:
 
 
 def answer_plan(oracle, plan) -> dict[frozenset[int], frozenset[int]]:
-    """Submit every query of a one-shot plan, in plan order; returns the answer map."""
-    return {q: oracle.query(q) for q in plan.queries()}
+    """Submit every query of a one-shot plan, in plan order; returns the answer
+    map, in which equal outcomes share one set."""
+    answers: dict[frozenset[int], frozenset[int]] = {}
+    outcomes: dict[frozenset[int], frozenset[int]] = {}
+    for q in plan.queries():
+        outcome = oracle.query(q)
+        answers[q] = outcomes.setdefault(outcome, outcome)
+    return answers
 
 
 class MirroredOracle:

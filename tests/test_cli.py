@@ -4,14 +4,15 @@ import csv
 import io
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
 from scalesort import online
-from scalesort.cli import main
-from scalesort.core import HiddenOrder, InconsistentAnswersError, Oracle, ScaleSpec
+from scalesort.cli import _load_results, main
+from scalesort.core import HiddenOrder, InconsistentAnswersError, Oracle, ScaleSpec, answer_plan
 from scalesort.offline_adjacency import adjacency_sort
-from scalesort.offline_recursive import recursive_sort
+from scalesort.offline_recursive import recursive_plan, recursive_sort
 
 SORTS = {"adjacency": adjacency_sort, "recursive": recursive_sort}
 
@@ -280,6 +281,11 @@ _ANSWERED = {"algo": "adjacency", "spec": "3:2", "n": 9,
     ({**_ANSWERED, "results": [{"query": ["0", "1", "2"], "outcome": [1]}]}, "query must hold"),
     ({**_ANSWERED, "results": [{"query": [0, 1, 2], "outcome": [3]}]}, "outcome must be"),
     ({**_ANSWERED, "results": [{"query": [0, 1, 2], "outcome": [0, 1]}]}, "outcome must be"),
+    # 1.0 and true compare equal to the id 1, so only their type tells them apart.
+    ({**_ANSWERED, "results": [{"query": [0.0, 1.0, 2.0], "outcome": [1.0]}]}, "query must hold"),
+    ({**_ANSWERED, "results": [{"query": [0, True, 2], "outcome": [2]}]}, "query must hold"),
+    ({**_ANSWERED, "results": [{"query": [0, 1, 2], "outcome": [1.0]}]}, "outcome must be"),
+    ({**_ANSWERED, "results": [{"query": [0, 1, 2], "outcome": [True]}]}, "outcome must be"),
 ])
 def test_solve_rejects_malformed_results(tmp_path, capsys, doc, message):
     path = tmp_path / "results.json"
@@ -287,6 +293,44 @@ def test_solve_rejects_malformed_results(tmp_path, capsys, doc, message):
     code, out, err = run_cli(capsys, "solve", "--results", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_results_loader_peaks_near_the_parse_and_shares_outcomes(tmp_path, capsys):
+    # An answered recursive 5:2 plan at n = 16: 6,826 records of 3,906
+    # distinct queries.  Reading every record before releasing any holds
+    # the parsed document and the finished answers at once (about 960 B a
+    # record under CPython 3.11).  Released record by record, the document
+    # shrinks as the answers grow, and the peak stays near the larger of
+    # the two (about 520 B a record).
+    spec, n = ScaleSpec(5, (2,)), 16
+    plan_path = tmp_path / "plan.json"
+    run_cli(capsys, "plan", "--algo", "recursive", "--scale", "5:2", "--n", str(n),
+            "--out", str(plan_path))
+    order = HiddenOrder.from_seed(n, 4)
+    oracle = Oracle(order, spec)
+    results = [{"query": q, "outcome": sorted(oracle.query(q))}
+               for q in json.loads(plan_path.read_text())["queries"]]
+    results_path = tmp_path / "results.json"
+    results_path.write_text(json.dumps({
+        "algo": "recursive", "spec": "5:2", "n": n, "results": results}))
+    del results
+
+    tracemalloc.start()
+    try:
+        with open(results_path) as fh:
+            json.load(fh)
+        _, parse_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        *_, answers = _load_results(str(results_path))
+        answers_size, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert load_peak < 0.75 * (parse_peak + answers_size)
+
+    in_process = answer_plan(Oracle(order, spec), recursive_plan(n, spec))
+    assert in_process == answers
+    for got in (answers, in_process):
+        assert len({id(o) for o in got.values()}) == len(set(got.values())) <= n
 
 
 def test_lower_bound(capsys):

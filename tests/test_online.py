@@ -249,6 +249,12 @@ class TestMultiPipeline:
             assert stats.partition == spec.s_size + spec.l_size == 2
             assert stats.refinement <= (2 * spec.k) ** (spec.k + 1)
 
+    @pytest.mark.parametrize("spec_text,n,bound", [
+        ("7:2,6", 10_000, 4_998), ("6:2,5", 21, 9), ("4:2,3", 9, 4)])
+    def test_elimination_bound_is_exact(self, spec_text, n, bound):
+        # ceil((n - (k - s)) / s); the pipeline tests only check <= it.
+        assert multi_elimination_bound(n, ScaleSpec.parse(spec_text)) == bound
+
     def test_suffix_run_mirrors(self):
         # (4,{3,4}) reports the top two: handled through the mirrored
         # prefix-run path; the top pair itself is unorderable.
