@@ -113,9 +113,9 @@ def _load_results(path: str) -> tuple[str, ScaleSpec, int, dict[frozenset[int], 
         raise ScaleError("n must be an integer")
     if not isinstance(entries, list):
         raise ScaleError("results must be a list of {query, outcome} records")
-    ids = frozenset(range(n))
     answers: dict[frozenset[int], frozenset[int]] = {}
     outcomes: dict[frozenset[int], frozenset[int]] = {}
+    seen: set[int] = set()  # the ids already found in [0, n)
     for i, entry in enumerate(entries):
         entries[i] = None
         try:
@@ -123,10 +123,12 @@ def _load_results(path: str) -> tuple[str, ScaleSpec, int, dict[frozenset[int], 
             query, outcome = frozenset(q_list), frozenset(o_list)
         except (KeyError, TypeError) as exc:
             raise ScaleError(f"results[{i}] needs 'query' and 'outcome' lists") from exc
-        # A JSON 1.0 or true equals the id 1, so each id's type is checked too.
-        if (len(query) != spec.k or not query <= ids
-                or not _INT.issuperset(map(type, q_list))):
+        # A JSON 1.0 or true equals the id 1, so each id's type is checked
+        # first; only a query with an id not seen before is compared with n.
+        if (len(query) != spec.k or not _INT.issuperset(map(type, q_list))
+                or not query <= seen and (min(query) < 0 or max(query) >= n)):
             raise ScaleError(f"results[{i}]: query must hold {spec.k} distinct ids in [0, {n})")
+        seen |= query
         if (len(outcome) != spec.s or not outcome <= query
                 or not _INT.issuperset(map(type, o_list))):
             raise ScaleError(f"results[{i}]: outcome must be {spec.s} ids of its query")
@@ -135,6 +137,10 @@ def _load_results(path: str) -> tuple[str, ScaleSpec, int, dict[frozenset[int], 
         if previous is not outcome:
             raise ScaleError(f"results[{i}]: query {sorted(query)} was already answered"
                              f" {sorted(previous)}, not {sorted(outcome)}")
+    # Every plan query holds k ids and every plan covers all n of them.
+    if n > spec.k * len(answers):
+        raise ScaleError(f"{len(answers)} distinct answered queries of {spec.k} ids cannot"
+                         f" cover n={n} ids; the file is missing answers")
     return algo, spec, n, answers
 
 

@@ -126,14 +126,6 @@ class KnowledgeBase:
             hit = self.deduced.get(q)
         return hit
 
-    def relation(self, a: int, b: int) -> int | None:
-        """-1 if a < b is established, 1 if a > b, None otherwise."""
-        pa = self._position.get(a)
-        pb = self._position.get(b)
-        if pa is None or pb is None or pa == pb:
-            return None  # unplaced, or the same unordered family
-        return -1 if pa < pb else 1
-
 
 def _interpret_absent(counts: Counter[int], k: int, t: int, m: int,
                       beta: int) -> tuple[set[int], set[int]]:
@@ -215,23 +207,28 @@ def _deduce(kb: KnowledgeBase, q: frozenset[int], busy: set[frozenset[int]]) -> 
     sided_subs = {1: [], 4: []}
     zone_mix: set[int] = set()
     busy = busy | {q}
+    position = kb._position
     for w in kb.substitutes:
         if w in q:
             continue
+        # Members placed apart from w count towards m (and beta when below
+        # it); the unplaced and those in w's own unordered family are swapped out.
+        pw = position.get(w)
         beta = m = 0
         victims: list[int] = []
         for p in q:
-            rel = kb.relation(p, w)
-            if rel is None:
+            pp = position.get(p)
+            if pw is None or pp is None or pp == pw:
                 victims.append(p)
             else:
                 m += 1
-                beta += rel == -1
+                beta += pp < pw
         victims.sort()
+        qw = q | {w}
         responses: Counter[int] = Counter()
         failed = False
         for e in victims:
-            probe = (q - {e}) | {w}
+            probe = qw - {e}
             out = kb.lookup(probe)
             if out is None:
                 if probe in busy:
@@ -453,12 +450,17 @@ def solve_from_results(plan: RecursivePlan,
     # The plan's distinct queries are exactly the k-subsets of range(n) with
     # at least t - 1 superset members, so counting the answered ones is
     # enough; only a shortfall pays for rebuilding the plan to name one.
+    # Only a query with an id not seen before is compared with n.
     superset = frozenset(plan.superset)
-    universe = frozenset(range(plan.n))
-    m = len(superset)
-    distinct = sum(comb(m, j) * comb(plan.n - m, k - j) for j in range(t - 1, k + 1))
-    answered = sum(len(q) == k and q <= universe and len(q & superset) >= t - 1
-                   for q in results)
+    n, m = plan.n, len(superset)
+    distinct = sum(comb(m, j) * comb(n - m, k - j) for j in range(t - 1, k + 1))
+    answered = 0
+    seen: set[int] = set()  # the ids already found in [0, n)
+    for q in results:
+        if (len(q) == k and len(q & superset) >= t - 1
+                and (q <= seen or min(q) >= 0 and max(q) < n)):
+            seen |= q
+            answered += 1
     if answered < distinct:
         for q in plan.queries():
             if q not in results:

@@ -295,6 +295,24 @@ def test_solve_rejects_malformed_results(tmp_path, capsys, doc, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("algo,n,records,message", [
+    ("adjacency", 10**9, 1, "1 distinct answered queries of 4 ids cannot cover n=1000000000"),
+    ("recursive", 10**9, 1, "1 distinct answered queries of 4 ids cannot cover n=1000000000"),
+    # 750 queries can cover 3,000 ids, so the solve starts; it must name the
+    # first plan query the file lacks without listing the plan's 1.3e10.
+    ("adjacency", 3000, 750, "missing answer for plan query [0, 1, 2, 753]"),
+])
+def test_solve_refuses_an_n_beyond_its_answers(tmp_path, capped_python, algo, n, records,
+                                               message):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps({"algo": algo, "spec": "4:2", "n": n, "results": [
+        {"query": [0, 1, 2, j], "outcome": [1]} for j in range(3, 3 + records)]}))
+    proc = capped_python("-m", "scalesort", "solve", "--results", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
 def test_results_loader_peaks_near_the_parse_and_shares_outcomes(tmp_path, capsys):
     # An answered recursive 5:2 plan at n = 16: 6,826 records of 3,906
     # distinct queries.  Reading every record before releasing any holds

@@ -1,6 +1,8 @@
 """Adjacency-plan tests: plan sizes, the replacement rule, reconstruction."""
 
 import itertools
+import json
+import math
 import random
 
 import pytest
@@ -49,6 +51,49 @@ class TestPlan:
     def test_too_small_for_three_references(self):
         with pytest.raises(PreconditionError):
             build_adjacency_plan(5, ScaleSpec(3, (2,)))
+
+    @pytest.mark.parametrize("n,spec,rho", [
+        (8, ScaleSpec(3, (2,)), 1),
+        (9, ScaleSpec(4, (2,)), 1),
+        (14, ScaleSpec(6, (2, 4)), 3),
+        (7, ScaleSpec(3, (1,)), 0),
+        (7, ScaleSpec(4, (4,)), 0),  # the mirrored maximum
+    ])
+    def test_query_order_is_each_fan_in_lexicographic_order(self, n, spec, rho):
+        # Reference: for each reference set in turn, every (k - rho)-subset
+        # of the other ids, listed by bitmask and sorted.
+        refs = [list(range(i * rho, (i + 1) * rho)) for i in range(3 if rho else 1)]
+        expected = []
+        for ref in refs:
+            rest = [e for e in range(n) if e not in ref]
+            subsets = ([e for j, e in enumerate(rest) if mask >> j & 1]
+                       for mask in range(1 << len(rest)))
+            expected += [sorted(ref + free)
+                         for free in sorted(s for s in subsets if len(s) == spec.k - rho)]
+        plan = build_adjacency_plan(n, spec)
+        assert [sorted(q) for q in plan.queries()] == expected
+        assert plan.size == len(expected)
+
+    def test_plan_is_generated_on_demand(self, capped_python):
+        # 4:2 at n = 10^4 plans about 5e11 queries; only the fans' id
+        # tuples are built up front.
+        proc = capped_python("-c", _FIRST_QUERY_AT_N_10_4)
+        assert proc.returncode == 0, proc.stderr
+        size, first, peak = json.loads(proc.stdout)
+        assert size == 3 * math.comb(9999, 3)
+        assert first == [0, 1, 2, 3]
+        assert peak < 2**20
+
+
+_FIRST_QUERY_AT_N_10_4 = """
+import json, tracemalloc
+from scalesort.core import ScaleSpec
+from scalesort.offline_adjacency import build_adjacency_plan
+tracemalloc.start()
+plan = build_adjacency_plan(10**4, ScaleSpec(4, (2,)))
+first = sorted(next(plan.queries()))
+print(json.dumps([plan.size, first, tracemalloc.get_traced_memory()[1]]))
+"""
 
 
 class TestElimination:
@@ -120,7 +165,7 @@ class TestElimination:
                         support = set().union(*results.values())
                         expected = {a: support - {a} for a in support}
                         for fan in plan.fans:
-                            for q in map(fan.reference.union, fan.free_sets):
+                            for q in map(fan.reference.union, fan.free_sets()):
                                 for u in q - fan.reference:
                                     if u not in results[q]:
                                         continue
