@@ -29,12 +29,16 @@ import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice, permutations
+from math import comb
 from operator import itemgetter
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 RESOLVED = "resolved"
 REFLECTION_AMBIGUOUS = "reflection_ambiguous"
+
+# Largest universe the n! consistency enumeration accepts.
+MAX_CONSISTENCY_N = 9
 
 
 class ScaleError(ValueError):
@@ -305,6 +309,48 @@ class Oracle:
         return answer
 
 
+@dataclass(frozen=True)
+class Fan:
+    """All k-queries containing one fixed reference set.
+
+    Each query is the reference plus one `width`-subset of `rest`; the free
+    parts are generated on demand, as sorted tuples in lexicographic order.
+    """
+
+    reference: frozenset[int]
+    rest: tuple[int, ...]
+    width: int
+
+    def free_sets(self) -> Iterator[tuple[int, ...]]:
+        return combinations(self.rest, self.width)
+
+
+@dataclass(frozen=True)
+class QueryPlan:
+    """A one-shot batch of fans, issued fan by fan; overlapping fans repeat queries."""
+
+    n: int
+    spec: ScaleSpec
+    fans: tuple[Fan, ...]
+
+    @property
+    def size(self) -> int:
+        return sum(comb(len(fan.rest), fan.width) for fan in self.fans)
+
+    def queries(self) -> Iterator[frozenset[int]]:
+        """Every plan query, fan by fan, in issue order."""
+        for fan in self.fans:
+            ref = fan.reference
+            for free in fan.free_sets():
+                # A union of two sets sizes its table once: 472 B for five ids, not 728.
+                yield ref | frozenset(free)
+
+    @classmethod
+    def exhaustive(cls, n: int, spec: ScaleSpec) -> "QueryPlan":
+        """All C(n, k) queries under a single empty reference set."""
+        return cls(n, spec, (Fan(frozenset(), tuple(range(n)), spec.k),))
+
+
 def answer_plan(oracle, plan) -> dict[frozenset[int], frozenset[int]]:
     """Submit every query of a one-shot plan, in plan order; returns the answer
     map, in which equal outcomes share one set."""
@@ -410,6 +456,25 @@ def first_contradiction(entries: Iterable[tuple[Collection[int], Collection[int]
     except (KeyError, IndexError):
         return q, o
     return None
+
+
+def consistent_orders(entries: Collection[tuple[Collection[int], frozenset[int]]], n: int,
+                      outputs: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every rank array of range(n), in lexicographic order, under which each
+    (query, outcome) entry holds (n <= MAX_CONSISTENCY_N)."""
+    if n > MAX_CONSISTENCY_N:
+        raise PreconditionError(
+            f"consistency enumeration is limited to n <= {MAX_CONSISTENCY_N}")
+    consistent: list[tuple[int, ...]] = []
+    for perm in permutations(range(1, n + 1)):
+        ok = True
+        for q, out in entries:
+            if outcome_of(perm, outputs, q) != out:
+                ok = False
+                break
+        if ok:
+            consistent.append(perm)
+    return consistent
 
 
 def true_partition(truth: HiddenOrder, spec: ScaleSpec) -> tuple[frozenset[int], tuple[int, ...], frozenset[int]]:

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
+    MAX_CONSISTENCY_N,  # the CLI's `verify --max-n` cap
     HiddenOrder,
     Oracle,
     PreconditionError,
     ScaleSpec,
     SortResult,
+    consistent_orders,
     equivalent_up_to_ambiguity,
-    outcome_of,
 )
 from . import offline_adjacency, offline_recursive, online
 
@@ -43,8 +44,6 @@ ALGORITHMS = {
     "offline_recursive": offline_recursive.recursive_sort,
 }
 
-# Largest universe the n! consistency enumeration accepts.
-MAX_CONSISTENCY_N = 9
 # Smallest universe `scalesort verify` can certify: k + 1 for its smallest arity, k = 3.
 MIN_VERIFY_N = 4
 
@@ -57,22 +56,9 @@ class ConsistencyReport:
 def consistent_permutations(transcript: Sequence[tuple[Sequence[int], Sequence[int]]],
                             n: int, spec: ScaleSpec) -> ConsistencyReport:
     """Enumerate all n! hidden orders consistent with a transcript (n <= MAX_CONSISTENCY_N)."""
-    if n > MAX_CONSISTENCY_N:
-        raise PreconditionError(
-            f"consistency enumeration is limited to n <= {MAX_CONSISTENCY_N}")
     entries = [(tuple(q), frozenset(o)) for q, o in
                dict.fromkeys((tuple(q), tuple(o)) for q, o in transcript)]
-    consistent: list[tuple[int, ...]] = []
-    outputs = spec.outputs
-    for perm in itertools.permutations(range(1, n + 1)):
-        ok = True
-        for q, out in entries:
-            if outcome_of(perm, outputs, q) != out:
-                ok = False
-                break
-        if ok:
-            consistent.append(perm)
-    return ConsistencyReport(tuple(consistent))
+    return ConsistencyReport(tuple(consistent_orders(entries, n, spec.outputs)))
 
 
 def ambiguity_class(truth: HiddenOrder, spec: ScaleSpec) -> set[tuple[int, ...]]:
@@ -131,7 +117,7 @@ def algorithm_bound(algorithm: str, n: int, spec: ScaleSpec) -> int | None:
     if algorithm == "offline_adjacency":
         return offline_adjacency.plan_size_formula(n, spec)
     if algorithm == "offline_recursive":
-        return offline_recursive.recursive_plan(n, spec).physical_size
+        return offline_recursive.recursive_plan(n, spec).size
     raise PreconditionError(f"unknown algorithm {algorithm!r}")
 
 

@@ -18,64 +18,24 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import comb
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .core import (
     RESOLVED,
     REFLECTION_AMBIGUOUS,
     InconsistentAnswersError,
+    Fan,
     Oracle,
     PreconditionError,
+    QueryPlan,
     ScaleSpec,
     SortResult,
     UnsupportedScaleError,
     answer_plan,
     first_contradiction,
 )
-
-
-@dataclass(frozen=True)
-class Fan:
-    """All k-queries containing one fixed reference set.
-
-    Each query is the reference plus one `width`-subset of `rest`; the free
-    parts are generated on demand, as sorted tuples in lexicographic order.
-    """
-
-    reference: frozenset[int]
-    rest: tuple[int, ...]
-    width: int
-
-    def free_sets(self) -> Iterator[tuple[int, ...]]:
-        return itertools.combinations(self.rest, self.width)
-
-
-@dataclass(frozen=True)
-class QueryPlan:
-    """A batch of fans; every query belongs to exactly one fan."""
-
-    n: int
-    spec: ScaleSpec
-    fans: tuple[Fan, ...]
-
-    @property
-    def size(self) -> int:
-        return sum(comb(len(fan.rest), fan.width) for fan in self.fans)
-
-    def queries(self) -> Iterator[frozenset[int]]:
-        """Every plan query, fan by fan, in issue order."""
-        for fan in self.fans:
-            ref = fan.reference
-            for free in fan.free_sets():
-                # A union of two sets sizes its table once: 472 B for five ids, not 728.
-                yield ref | frozenset(free)
-
-    @classmethod
-    def exhaustive(cls, n: int, spec: ScaleSpec) -> "QueryPlan":
-        """All C(n, k) queries under a single empty reference set."""
-        return cls(n, spec, (Fan(frozenset(), tuple(range(n)), spec.k),))
 
 
 def _reference_size(spec: ScaleSpec) -> int:

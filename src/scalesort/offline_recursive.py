@@ -9,13 +9,13 @@ each query member in turn and classifying the response multiplicities.  An
 online pass replayed against the deduction engine recovers the full order
 without further physical queries.
 
-Deduction candidates are enumerated over every admissible configuration
-(substitute position zone, reference members below the target, target inside
-the reference); a query resolves when exactly one candidate survives across
-substitutes.  The one genuinely ambiguous signature (k = 2t, substitute
-above everything) leaves the target and one neighbor as candidates;
-`_pair_order_tiebreak` settles it by looking up a recorded query that holds
-both, whose answered candidate is the neighbor.
+When the substitute is never answered, the target's response multiplicity
+lies in one of two integer windows, one for a substitute below the target
+and one for a substitute above it; a query resolves when exactly one
+candidate survives across substitutes.  The one genuinely ambiguous
+signature (k = 2t, substitute above everything) leaves the target and one
+neighbor as candidates; `_pair_order_tiebreak` settles it by looking up a
+recorded query that holds both, whose answered candidate is the neighbor.
 """
 
 from __future__ import annotations
@@ -24,16 +24,20 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .core import (
+    MAX_CONSISTENCY_N,
+    Fan,
     PreconditionError,
     InconsistentAnswersError,
+    QueryPlan,
     ScaleError,
     ScaleSpec,
     SortResult,
     UnsupportedScaleError,
     answer_plan,
+    consistent_orders,
     first_contradiction,
     mirror_result,
     rank_keys,
@@ -131,39 +135,27 @@ def _interpret_absent(counts: Counter[int], k: int, t: int, m: int,
                       beta: int) -> tuple[set[int], set[int]]:
     """Candidate targets when the substitute itself was never answered.
 
-    Enumerates every admissible (zone, references-below-target, target in
-    references) configuration; the true configuration is always among them,
-    so the target is always in the returned set when it is nonempty.
+    Below the target (zone 1), the substitute leaves c >= beta placed members
+    below the target, which answers t - 1 - c times, c <= min(m, t - 2); above
+    it (zone 4), with j <= beta placed members at or below the target, it
+    answers k - t - m + j times.  A value is a candidate when its multiplicity
+    lies in either window (the k - m probes fix the other value's); the true
+    zone's window holds the target's, so the target is in every nonempty
+    candidate set.
     """
     if len(counts) != 2:
         return set(), set()
-    items = list(counts.items())
-    pairings = ((items[0], items[1]), (items[1], items[0]))
-    n_p = k - m
+    below = range(max(t - 1 - m, 1), t - beta)
+    above = range(max(k - t - m, 1), k - t - m + beta + 1)
     cands: set[int] = set()
     zones: set[int] = set()
-    for c_lo in range(0, m + 1):
-        for delta in (0, 1):
-            if c_lo + delta > m:
-                continue
-            # Substitute below the whole window: every reference member known
-            # below it is also below the target.
-            if c_lo >= beta:
-                bt = t - 1 - c_lo
-                if bt >= 1:
-                    for (x, cx), (_, cy) in pairings:
-                        if cx == bt and cy == n_p - bt:
-                            cands.add(x)
-                            zones.add(1)
-            # Substitute above the whole window: reference members known
-            # above it cannot sit at or below the target.
-            if c_lo + delta <= beta:
-                bt = (k - t) - (m - c_lo - delta)
-                if bt >= 1:
-                    for (x, cx), (_, cy) in pairings:
-                        if cx == bt and cy == n_p - bt:
-                            cands.add(x)
-                            zones.add(4)
+    for x, cx in counts.items():
+        if cx in below:
+            cands.add(x)
+            zones.add(1)
+        if cx in above:
+            cands.add(x)
+            zones.add(4)
     return cands, zones
 
 
@@ -292,42 +284,33 @@ def deduce_query(kb: KnowledgeBase, q: Iterable[int]) -> frozenset[int]:
 
 
 @dataclass(frozen=True)
-class RecursivePlan:
-    """Superset closure plus one fan per (t-1)-subset of the superset.
+class RecursivePlan(QueryPlan):
+    """The superset closure, then one fan per (t-1)-subset of the superset.
 
-    spec is the instrument as the plan reads it, with t <= (k+1)/2.  When
-    mirrored is set, the physical instrument is its mirror image (k+1-t):
-    that instrument answers every query with the same set, so only the
-    solved order is reversed.
+    The first fan, with an empty reference, is the closure: every k-subset
+    of the superset.  spec is the instrument as the plan reads it, with
+    t <= (k+1)/2.  When mirrored is set, the physical instrument is its
+    mirror image (k+1-t): that instrument answers every query with the same
+    set, so only the solved order is reversed.
     """
 
-    n: int
-    spec: ScaleSpec
     superset: tuple[int, ...]
     mirrored: bool
 
     @property
     def closure_queries(self) -> list[tuple[int, ...]]:
-        return list(itertools.combinations(self.superset, self.spec.k))
+        return list(self.fans[0].free_sets())
 
     def iter_fan_queries(self):
         """Yields (reference, query) pairs; overlapping fans repeat queries."""
-        k, t, n = self.spec.k, self.spec.outputs[0], self.n
-        for ref in itertools.combinations(self.superset, t - 1):
-            rest = [e for e in range(n) if e not in ref]
-            for free in itertools.combinations(rest, k - t + 1):
+        for fan in self.fans[1:]:
+            ref = tuple(sorted(fan.reference))
+            for free in fan.free_sets():
                 yield ref, ref + free
-
-    def queries(self) -> Iterator[frozenset[int]]:
-        """Every plan query in issue order: the closure, then each fan."""
-        for q in self.closure_queries:
-            yield frozenset(q)
-        for _, q in self.iter_fan_queries():
-            yield frozenset(q)
 
     @property
     def physical_size(self) -> int:
-        return plan_size_formula(self.n, self.spec.k, self.spec.outputs[0])
+        return self.size
 
 
 def plan_size_formula(n: int, k: int, t: int) -> int:
@@ -339,19 +322,29 @@ def recursive_plan(n: int, spec: ScaleSpec) -> RecursivePlan:
 
     An instrument with t > (k+1)/2 is planned as its mirror image.  A
     minimum instrument (t = 1) has no reference chain to order: its
-    superset is empty and its one fan, with an empty reference, is every
-    one of the C(n, k) queries.
+    superset and closure are empty and its one other fan, with an empty
+    reference, is every one of the C(n, k) queries.  A superset of more than
+    MAX_CONSISTENCY_N members is refused, since its closure is ordered by
+    enumerating every order of it.
     """
     if spec.s != 1:
         raise UnsupportedScaleError("the recursive plan requires a singleton instrument")
+    text = spec.text
     mirrored = spec.outputs[0] > (spec.k + 1) / 2
     if mirrored:
         spec = spec.mirrored()
     k, t = spec.k, spec.outputs[0]
+    superset = tuple(range(k + t - 2)) if t > 1 else ()
+    if len(superset) > MAX_CONSISTENCY_N:
+        raise UnsupportedScaleError(
+            f"recursive plan cannot sort {text}: its superset of {len(superset)} ids"
+            f" is above MAX_CONSISTENCY_N = {MAX_CONSISTENCY_N}")
     if n <= 2 * k:
         raise PreconditionError(f"the recursive plan needs n > 2k, got n={n} k={k}")
-    superset = tuple(range(k + t - 2)) if t > 1 else ()
-    return RecursivePlan(n, spec, superset, mirrored)
+    fans = [Fan(frozenset(), superset, k)]
+    for ref in itertools.combinations(superset, t - 1):
+        fans.append(Fan(frozenset(ref), tuple(e for e in range(n) if e not in ref), k - t + 1))
+    return RecursivePlan(n, spec, tuple(fans), superset, mirrored)
 
 
 def build_recursive_plan(n: int, k: int, t: int) -> RecursivePlan:
@@ -364,32 +357,26 @@ def order_superset(closure_results: Mapping[frozenset[int], frozenset[int]],
                    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Order the superset's middle from the closure answers.
 
-    Enumerates every ordering of the superset consistent with the recorded
-    closure answers and keeps what they agree on: the middle sequence (the
-    chain; canonical reading for a symmetric instrument), plus the sets
-    known below and above it.  Members that stay unplaced (possible only
-    when the chain has length one) are returned as the free pool.
+    The superset is the ids 0..m-1, as in every plan.  Every ordering of it
+    consistent with the recorded closure answers is enumerated, and what
+    they agree on is kept: the middle sequence (the chain; canonical reading
+    for a symmetric instrument), plus the sets known below and above it.
+    Members that stay unplaced (possible only when the chain has length
+    one) are returned as the free pool.
     """
     members = sorted(superset)
     mlen = len(members)
-    if mlen > 9:
-        raise PreconditionError("superset too large to order exhaustively")
     # Within the superset the answerable window is ranks [t, 2t-2]: t-1 at
     # the bottom and k-t at the top stay unplaced.
-    s_size = spec.s_size
-    l_size = spec.l_size
+    s_size, l_size = spec.s_size, spec.l_size
     per_middle: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
-    entries = closure_results.items()
-    for perm in itertools.permutations(members):
-        if first_contradiction(entries, perm, (), (), spec.outputs) is not None:
-            continue
-        mid = perm[s_size:mlen - l_size]
+    for ranks in consistent_orders(closure_results.items(), mlen, spec.outputs):
+        perm = sorted(members, key=ranks.__getitem__)
+        mid = tuple(perm[s_size:mlen - l_size])
         lo, hi = set(perm[:s_size]), set(perm[mlen - l_size:])
-        if mid in per_middle:
-            per_middle[mid][0].intersection_update(lo)
-            per_middle[mid][1].intersection_update(hi)
-        else:
-            per_middle[mid] = (lo, hi)
+        kept_lo, kept_hi = per_middle.setdefault(mid, (lo, hi))
+        kept_lo &= lo
+        kept_hi &= hi
     if not per_middle:
         raise InconsistentAnswersError("no superset ordering matches the closure answers")
     chain = min(per_middle)
@@ -476,7 +463,7 @@ def solve_from_results(plan: RecursivePlan,
         q, o = bad
         raise InconsistentAnswersError(
             f"the solved order contradicts the answer {sorted(o)} to query {sorted(q)}")
-    res = replace(res, queries_used=plan.physical_size)
+    res = replace(res, queries_used=plan.size)
     return mirror_result(res) if plan.mirrored else res
 
 

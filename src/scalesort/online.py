@@ -26,6 +26,7 @@ from typing import Iterable
 from .core import (
     MirroredOracle,
     PreconditionError,
+    QueryPlan,
     RESOLVED,
     REFLECTION_AMBIGUOUS,
     InconsistentAnswersError,
@@ -252,7 +253,7 @@ def singleton_sort(oracle) -> SortResult:
         return mirror_result(singleton_sort(MirroredOracle(oracle)))
     if oracle.n < 2 * k - 2:
         # No k-1 reference set exists: ask every query, rebuild by adjacency.
-        plan = offline_adjacency.QueryPlan.exhaustive(oracle.n, spec)
+        plan = QueryPlan.exhaustive(oracle.n, spec)
         return offline_adjacency.solve_from_results(plan, answer_plan(oracle, plan))
     return _staged_sort(oracle, MultiSortStats())
 

@@ -229,6 +229,17 @@ def test_adjacency_refuses_end_block_instruments(capsys, argv):
     assert "end block of 2" in err
 
 
+def test_recursive_plan_refuses_a_superset_it_could_not_order(capsys, tmp_path):
+    # 8:4 would plan 360,405 queries whose closure of 10 ids no solve can order.
+    path = tmp_path / "plan.json"
+    code, out, err = run_cli(capsys, "plan", "--algo", "recursive", "--scale", "8:4",
+                             "--n", "18", "--out", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: recursive plan cannot sort 8:4") and "MAX_CONSISTENCY_N" in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv,content,message", [
     (("sort-online", "--scale", "3:2", "--n", "9", "--order", "{path}"), "not json",
      "order file is not JSON"),

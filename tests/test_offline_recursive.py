@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from scalesort.core import (
     UnsupportedScaleError,
     answer_plan,
     equivalent_up_to_ambiguity,
+    first_contradiction,
     outcome_of,
     true_partition,
 )
@@ -25,6 +27,7 @@ from scalesort.offline_adjacency import solve_from_results as solve_adjacency
 from scalesort.offline_recursive import (
     DeductionError,
     KnowledgeBase,
+    _interpret_absent,
     build_recursive_plan,
     deduce_query,
     find_ordered_pair,
@@ -201,6 +204,44 @@ class TestPlanAndSort:
         assert plan.physical_size == size == plan_size_formula(n, k, t)
         count = len(plan.closure_queries) + sum(1 for _ in plan.iter_fan_queries())
         assert count == size
+
+    @pytest.mark.parametrize("n,spec", [
+        (7, ScaleSpec(3, (2,))),
+        (9, ScaleSpec(4, (2,))),
+        (11, ScaleSpec(5, (3,))),
+        (9, ScaleSpec(4, (3,))),   # planned as its mirror image, 4:2
+        (9, ScaleSpec(4, (1,))),   # empty superset: one fan of every query
+    ])
+    def test_query_order_is_closure_then_each_fan_in_lexicographic_order(self, n, spec):
+        # Reference: every k-subset of range(n) in lexicographic order, kept
+        # when it lies inside the superset (the closure) and then, for each
+        # (t-1)-subset of the superset in lexicographic order, when it holds it.
+        k = spec.k
+        t = min(spec.outputs[0], k + 1 - spec.outputs[0])
+        superset = set(range(k + t - 2)) if t > 1 else set()
+        every = list(itertools.combinations(range(n), k))
+        expected = [list(q) for q in every if set(q) <= superset]
+        for ref in itertools.combinations(sorted(superset), t - 1):
+            expected += [list(q) for q in every if set(ref) <= set(q)]
+        plan = recursive_plan(n, spec)
+        assert [sorted(q) for q in plan.queries()] == expected
+        assert ([sorted(q) for q in plan.closure_queries]
+                + [sorted(q) for _, q in plan.iter_fan_queries()]) == expected
+        assert plan.size == len(expected) == plan_size_formula(n, k, t)
+
+    @pytest.mark.parametrize("text,n", [("8:4", 18), ("9:7", 19), ("10:2", 21)])
+    def test_superset_past_the_enumeration_cap_is_refused_before_any_query(self, text, n):
+        # k + t' - 2 > MAX_CONSISTENCY_N with t' = min(t, k+1-t): the closure
+        # could never be ordered, so the plan is refused before it is asked.
+        oracle = Oracle(HiddenOrder.identity(n), ScaleSpec.parse(text))
+        with pytest.raises(UnsupportedScaleError, match="MAX_CONSISTENCY_N"):
+            recursive_sort(oracle)
+        assert oracle.query_count == 0
+
+    def test_superset_of_eight_still_sorts(self):
+        spec = ScaleSpec(7, (3,))
+        order = HiddenOrder.from_seed(16, 1)
+        assert equivalent_up_to_ambiguity(recursive_sort(Oracle(order, spec)), order, spec)
 
     def test_plan_closed_under_fans(self):
         plan = build_recursive_plan(10, 3, 2)
@@ -398,6 +439,59 @@ class TestOrderSuperset:
         assert chain == (ranked[1],)
         assert below == () and above == ()
         assert set(free) == set(members) - {ranked[1]}
+
+
+def _order_superset_by_first_contradiction(closure, superset, spec):
+    """Reference order_superset: each ordering of the superset checked on its own."""
+    members = sorted(superset)
+    top = len(members) - spec.l_size
+    per_middle = {}
+    for perm in itertools.permutations(members):
+        if first_contradiction(closure.items(), perm, (), (), spec.outputs) is None:
+            lo, hi = per_middle.setdefault(perm[spec.s_size:top],
+                                           (set(perm[:spec.s_size]), set(perm[top:])))
+            lo &= set(perm[:spec.s_size])
+            hi &= set(perm[top:])
+    chain = min(per_middle)
+    below, above = per_middle[chain]
+    free = tuple(e for e in members if e not in chain and e not in below and e not in above)
+    return chain, tuple(sorted(below)), tuple(sorted(above)), free
+
+
+@pytest.mark.parametrize("k,t,n,seed", [(7, 3, 16, 0), (7, 3, 16, 1), (6, 3, 14, 0),
+                                        (6, 3, 14, 1), (6, 3, 14, 2)])
+def test_order_superset_matches_a_per_permutation_check(k, t, n, seed):
+    spec = ScaleSpec(k, (t,))
+    plan = build_recursive_plan(n, k, t)
+    oracle = Oracle(HiddenOrder.from_seed(n, seed), spec)
+    closure = {frozenset(q): oracle.query(q) for q in plan.closure_queries}
+    assert (order_superset(closure, plan.superset, spec)
+            == _order_superset_by_first_contradiction(closure, plan.superset, spec))
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_unanswered_substitute_windows_hold_the_target(k):
+    """For every rank w of the substitute among the k + 1 ids and every set
+    of query members placed apart from it, beta of them below it: when the
+    probes never answer the substitute, two response values leave a
+    candidate set that holds the target and names the substitute's zone."""
+    for t in range(2, (k + 1) // 2 + 1):
+        for w in range(1, k + 2):
+            q = [r for r in range(1, k + 2) if r != w]   # ids are their ranks
+            target = q[t - 1]
+            for m in range(k):
+                for placed in itertools.combinations(q, m):
+                    beta = sum(p < w for p in placed)
+                    responses = Counter(sorted(set(q) - {e} | {w})[t - 1]
+                                        for e in q if e not in placed)
+                    if w in responses:
+                        continue
+                    cands, zones = _interpret_absent(responses, k, t, m, beta)
+                    if len(responses) == 1:
+                        assert cands == set()
+                    else:
+                        assert target in cands
+                        assert (1 if w < target else 4) in zones
 
 
 @pytest.mark.parametrize("k,t,n", [(3, 2, 8), (4, 2, 10), (4, 2, 13), (5, 2, 11), (5, 3, 11)])
