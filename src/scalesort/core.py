@@ -433,7 +433,7 @@ def rank_keys(middle: Sequence[int], below: Iterable[int], above: Iterable[int])
     return key
 
 
-def first_contradiction(entries: Iterable[tuple[Collection[int], Collection[int]]],
+def first_contradiction(entries: Iterable[tuple[Collection[int], tuple[int, ...] | frozenset[int]]],
                         middle: Sequence[int], s_set: Iterable[int], l_set: Iterable[int],
                         outputs: Sequence[int]) -> tuple | None:
     """The first (query, outcome) entry this (order, segment) hypothesis cannot produce, or None.
@@ -448,10 +448,12 @@ def first_contradiction(entries: Iterable[tuple[Collection[int], Collection[int]
     s = len(outputs)
     at_outputs = itemgetter(*(t - 1 for t in outputs))
     lowest = itemgetter(*range(s))
+    wanted: dict = {}
     try:
         for q, o in entries:
-            if (len(o) != s or at_outputs(sorted(map(rank, q))) != lowest(sorted(map(rank, o)))
-                    or len(set(q).intersection(o)) != s):
+            if o not in wanted:  # each distinct outcome's keys, None if of the wrong size
+                wanted[o] = lowest(sorted(map(rank, o))) if len(o) == s else None
+            if at_outputs(sorted(map(rank, q))) != wanted[o] or len(set(q).intersection(o)) != s:
                 return q, o
     except (KeyError, IndexError):
         return q, o

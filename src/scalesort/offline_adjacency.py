@@ -20,7 +20,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import replace
 from math import comb
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
 from .core import (
     RESOLVED,
@@ -76,6 +76,8 @@ def build_adjacency_plan(n: int, spec: ScaleSpec) -> QueryPlan:
     k = spec.k
     rho = _reference_size(spec)
     if rho == 0:
+        if n < k + 1:
+            raise PreconditionError(f"need n >= k+1 (n={n}, k={k})")
         return QueryPlan.exhaustive(n, spec)
     if n < 3 * rho + (k - rho) + 1:
         raise PreconditionError(
@@ -94,25 +96,13 @@ class AdjacencyMap:
         self.neighbors: dict[int, set[int]] = {
             e: set(self.support) - {e} for e in self.support}
 
-    def remove_edges(self, group_a: Sequence[int], group_b: Sequence[int]) -> None:
-        """Delete every edge between two disjoint groups; labels off the support are skipped."""
-        neighbors = self.neighbors
-        for a in group_a:
-            if a in neighbors:
-                neighbors[a].difference_update(group_b)
-        for b in group_b:
-            if b in neighbors:
-                neighbors[b].difference_update(group_a)
-
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.neighbors.get(a, ())
 
     def is_path(self) -> bool:
         m = len(self.support)
-        if m == 0:
-            return False
-        if m == 1:
-            return True
+        if m <= 1:
+            return m == 1
         degs = sorted(len(self.neighbors[e]) for e in self.support)
         if degs != [1, 1] + [2] * (m - 2):
             return False
@@ -146,35 +136,43 @@ def eliminate_nonadjacent(plan: QueryPlan,
     element u -> v; if u was answered and v was not answered in the sibling,
     the edge {u, v} is deleted.  A truly adjacent pair can never be deleted:
     whenever u holds an output position with v absent, v holds the same
-    position in the sibling.  Each plan query is read once: every member u
-    of its free part joins the answered or the unanswered side of the
-    sibling bucket keyed by the free part without u, a sorted tuple.
+    position in the sibling.  Each plan query is read once: each answered
+    member u of its free part joins the group of its core, the free part
+    without u.  The other siblings of a core are unanswered, so each group
+    member loses the fan's rest outside core and group, as bits of its
+    lost-neighbour mask.  An edge survives if neither end lost it.
     """
-    support: set[int] = set()
-    splits = []
+    outcomes: set[frozenset[int]] = set()
+    lost = [0] * plan.n
     for fan in plan.fans:
         ref = fan.reference
-        answered, unanswered = defaultdict(list), defaultdict(list)
+        groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
         for free in fan.free_sets():
             q = ref | frozenset(free)
             out = results.get(q)
             if out is None:
                 raise InconsistentAnswersError(f"missing answer for plan query {sorted(q)}")
-            support.update(out)
-            for i, u in enumerate(free):
-                (answered if u in out else unanswered)[free[:i] + free[i + 1:]].append(u)
-        splits.append((answered, unanswered))
-    adj = AdjacencyMap(support)
-    for answered, unanswered in splits:
-        for core, group in answered.items():
-            others = unanswered.get(core)
-            if others:
-                adj.remove_edges(group, others)
+            outcomes.add(out)
+            for u in out:
+                if u in q and u not in ref:
+                    i = free.index(u)
+                    groups[free[:i] + free[i + 1:]].append(u)
+        rest = sum(1 << e for e in fan.rest)
+        for core, group in groups.items():
+            unanswered = rest - sum(1 << e for e in core) - sum(1 << a for a in group)
+            for a in group:
+                lost[a] |= unanswered
+    adj = AdjacencyMap(set().union(*outcomes))
+    for a in adj.support.intersection(range(len(lost))):
+        for b in adj.support.intersection(range(lost[a].bit_length())):
+            if lost[a] >> b & 1:
+                adj.neighbors[a].discard(b)
+                adj.neighbors[b].discard(a)
     return adj
 
 
 def rebuild_order(adj: AdjacencyMap,
-                  transcript: Collection[tuple[Collection[int], Collection[int]]],
+                  transcript: Collection[tuple[Collection[int], tuple[int, ...] | frozenset[int]]],
                   spec: ScaleSpec) -> SortResult:
     """Walk the adjacency path, then pin direction and segments against the answers.
 

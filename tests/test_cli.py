@@ -240,6 +240,18 @@ def test_recursive_plan_refuses_a_superset_it_could_not_order(capsys, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n", [-1, 2, 3])
+def test_adjacency_plan_of_a_minimum_scale_needs_k_plus_one_ids(capsys, tmp_path, n):
+    # 3:1 plans every 3-subset; below four ids that is no query or one
+    # query, from which no solve can order the ids.
+    path = tmp_path / "plan.json"
+    code, out, err = run_cli(capsys, "plan", "--algo", "adjacency", "--scale", "3:1",
+                             "--n", str(n), "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: need n >= k+1 (n={n}, k=3)\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv,content,message", [
     (("sort-online", "--scale", "3:2", "--n", "9", "--order", "{path}"), "not json",
      "order file is not JSON"),

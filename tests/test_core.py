@@ -362,6 +362,44 @@ def test_first_contradiction_names_the_first_bad_entry():
                                         spec.outputs) == ((0, 1, 2, 3), o)
 
 
+@pytest.mark.parametrize("spec_text", ["4:2", "5:2,4"])
+def test_first_contradiction_with_repeated_outcomes(spec_text):
+    # Each wrong answer is an outcome object that already answered an
+    # earlier query truly, so a check that remembers an outcome's verdict
+    # misses it.  The same entries also arrive as fresh tuples or
+    # frozensets, built one at a time so that freed ids get reused.
+    spec = ScaleSpec.parse(spec_text)
+    n = 10
+    order = HiddenOrder.from_seed(n, 6)
+    s_set, middle, l_set = core.true_partition(order, spec)
+    shared: dict = {}
+    truth = [(q, shared.setdefault(o, o))
+             for q in itertools.combinations(range(n), spec.k)
+             for o in [outcome_of(order.ranks, spec.outputs, q)]]
+
+    def holds(q, o):
+        return (len(o) == len(set(o)) == spec.s
+                and frozenset(o) == outcome_of(order.ranks, spec.outputs, q))
+
+    forms = {"shared": lambda q, o: (q, o), "tuple": lambda q, o: (q, tuple(sorted(o))),
+             "frozenset": lambda q, o: (q, frozenset(o)),
+             "mixed": lambda q, o: (q, tuple(sorted(o)) if q[0] % 2 else frozenset(o))}
+    rng = random.Random(2)
+    for _ in range(12):
+        entries = list(truth)
+        for j in sorted(rng.sample(range(len(entries) // 3, len(entries)), 2)):
+            q = entries[j][0]
+            earlier = [o for _, o in entries[:j] if not holds(q, o)]
+            entries[j] = (q, rng.choice(earlier))
+        first_bad = next(i for i, (q, o) in enumerate(entries) if not holds(q, o))
+        assert any(o is entries[first_bad][1] for _, o in entries[:first_bad])
+        for form in forms.values():
+            found = core.first_contradiction((form(q, o) for q, o in entries), middle,
+                                             s_set, l_set, spec.outputs)
+            assert found == form(*entries[first_bad])
+        assert core.first_contradiction(truth, middle, s_set, l_set, spec.outputs) is None
+
+
 class TestEquivalence:
     def test_exact_match(self):
         spec = ScaleSpec(4, (2,))

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalesort.core import (
     HiddenOrder,
@@ -189,10 +191,59 @@ class TestElimination:
             eliminate_nonadjacent(plan, results)
 
 
+# Shapes at and just above their plan's floor, n >= max(k + 1, k + 2*rho + 1).
+_HOSTILE_CASES = [("4:2,3", 9), ("4:2,3", 11), ("5:2,4", 12), ("6:3,4", 13), ("7:2,4,6", 18),
+                  ("3:1", 4), ("3:1", 6), ("4:4", 6), ("4:2", 7), ("5:3", 10)]
+
+
+def _pairwise_rule(plan, results):
+    """Neighbour sets by the replacement rule read pair by pair: u answered in
+    its query and v not answered in the sibling that swaps u for v."""
+    support = set().union(*results.values())
+    expected = {a: support - {a} for a in support}
+    for fan in plan.fans:
+        for q in map(fan.reference.union, fan.free_sets()):
+            for u in q - fan.reference:
+                if u not in results[q]:
+                    continue
+                for v in set(fan.rest) - q:
+                    if v in support and v not in results[q - {u} | {v}]:
+                        expected[u].discard(v)
+                        expected[v].discard(u)
+    return support, expected
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_HOSTILE_CASES), st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(0, 10**6),
+                          st.sampled_from(["member", "reference", "outsider", 99, -1])),
+                max_size=6))
+def test_elimination_matches_the_pairwise_rule_on_hostile_answers(case, seed, corruptions):
+    # An outcome member is swapped for another member of its query, an id
+    # of a fan's reference set, an id outside the query, or an id outside
+    # range(n): the ids 99 and -1 join the support and keep every edge.
+    text, n = case
+    spec = ScaleSpec.parse(text)
+    plan = build_adjacency_plan(n, spec)
+    results = answer_plan(Oracle(HiddenOrder.from_seed(n, seed), spec), plan)
+    queries = sorted(results, key=sorted)
+    references = set().union(*(fan.reference for fan in plan.fans))
+    for pick, kind in corruptions:
+        q = queries[pick % len(queries)]
+        out = results[q]
+        pool = {"member": sorted(q - out), "reference": sorted(q & references - out),
+                "outsider": sorted(set(range(n)) - q)}.get(kind, [kind])
+        if pool:
+            results[q] = out - {min(out)} | {pool[pick % len(pool)]}
+    adj = eliminate_nonadjacent(plan, results)
+    assert (adj.support, adj.neighbors) == _pairwise_rule(plan, results)
+
+
 class TestRebuild:
     def test_path_walk(self):
         adj = AdjacencyMap({1, 2, 3})
-        adj.remove_edges([1], [3])
+        adj.neighbors[1].discard(3)
+        adj.neighbors[3].discard(1)
         assert adj.walk() in ([1, 2, 3], [3, 2, 1])
 
     def test_symmetric_reflection(self):
