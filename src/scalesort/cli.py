@@ -78,7 +78,12 @@ OFFLINE = {
 def _cmd_plan(args) -> int:
     spec = ScaleSpec.parse(args.scale)
     build, _ = OFFLINE[args.algo]
-    queries = [sorted(q) for q in build(args.n, spec).queries()]
+    # The queries of QueryPlan.queries, in its order, each sorted from its
+    # reference and free ids without building a set.
+    queries = []
+    for fan in build(args.n, spec).fans:
+        ref = tuple(fan.reference)
+        queries.extend(sorted(ref + free) for free in fan.free_sets())
     doc = {"algo": args.algo, "spec": spec.text, "n": args.n, "queries": queries}
     payload = json.dumps(doc, sort_keys=True)
     if args.out:

@@ -451,9 +451,12 @@ def first_contradiction(entries: Iterable[tuple[Collection[int], tuple[int, ...]
     wanted: dict = {}
     try:
         for q, o in entries:
-            if o not in wanted:  # each distinct outcome's keys, None if of the wrong size
-                wanted[o] = lowest(sorted(map(rank, o))) if len(o) == s else None
-            if at_outputs(sorted(map(rank, q))) != wanted[o] or len(set(q).intersection(o)) != s:
+            if o not in wanted:  # each distinct outcome's keys and ids, None if not s distinct ids
+                ids = frozenset(o)
+                wanted[o] = ((lowest(sorted(map(rank, ids))), ids)
+                             if len(o) == len(ids) == s else (None, None))
+            keys, ids = wanted[o]
+            if keys is None or at_outputs(sorted(map(rank, q))) != keys or not ids.issubset(q):
                 return q, o
     except (KeyError, IndexError):
         return q, o

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping
 
@@ -103,8 +104,8 @@ class KnowledgeBase:
     reference-superset members with no established relations (still usable
     as substitutes, since substitution needs their fans, not their rank).
     Everything but the `deduced` memo is fixed once the base is built, so
-    the union of the recorded queries, each placed element's position and
-    the substitute order are computed once, here.
+    each placed element's position and the substitute order are computed
+    once, here, and the union of the recorded queries on first use.
     """
 
     spec: ScaleSpec
@@ -114,15 +115,18 @@ class KnowledgeBase:
     above: tuple[int, ...] = ()
     free_pool: tuple[int, ...] = ()
     deduced: dict[frozenset[int], frozenset[int]] = field(default_factory=dict)
-    universe: frozenset[int] = field(init=False, repr=False, compare=False)
     substitutes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "universe", frozenset().union(*self.known))
         object.__setattr__(self, "substitutes",
                            self.chain + self.above + self.below + self.free_pool)
         object.__setattr__(self, "_position", rank_keys(self.chain, self.below, self.above))
+
+    @cached_property
+    def universe(self) -> frozenset[int]:
+        """Every id of a recorded query; only the pair-order tie-break reads it."""
+        return frozenset().union(*self.known)
 
     def lookup(self, q: frozenset[int]) -> frozenset[int] | None:
         hit = self.known.get(q)
@@ -131,7 +135,7 @@ class KnowledgeBase:
         return hit
 
 
-def _interpret_absent(counts: Counter[int], k: int, t: int, m: int,
+def _interpret_absent(counts: Mapping[int, int], k: int, t: int, m: int,
                       beta: int) -> tuple[set[int], set[int]]:
     """Candidate targets when the substitute itself was never answered.
 
@@ -195,11 +199,14 @@ def _pair_order_tiebreak(kb: KnowledgeBase, cands: set[int],
 def _deduce(kb: KnowledgeBase, q: frozenset[int], busy: set[frozenset[int]]) -> frozenset[int]:
     spec = kb.spec
     k, t = spec.k, spec.outputs[0]
+    known, deduced = kb.known.get, kb.deduced
+    # The run's candidates, the zones certified and, per zone, the substitutes
+    # that certified it alone; built once a window first admits a candidate.
     accum: set[int] | None = None
-    sided_subs = {1: [], 4: []}
-    zone_mix: set[int] = set()
-    busy = busy | {q}
+    zone_mix: set[int] | None = None
+    sided_subs: dict[int, list[int]] | None = None
     position = kb._position
+    placed = [(p, position.get(p)) for p in sorted(q)]
     for w in kb.substitutes:
         if w in q:
             continue
@@ -208,33 +215,36 @@ def _deduce(kb: KnowledgeBase, q: frozenset[int], busy: set[frozenset[int]]) -> 
         pw = position.get(w)
         beta = m = 0
         victims: list[int] = []
-        for p in q:
-            pp = position.get(p)
+        for p, pp in placed:
             if pw is None or pp is None or pp == pw:
                 victims.append(p)
             else:
                 m += 1
                 beta += pp < pw
-        victims.sort()
         qw = q | {w}
-        responses: Counter[int] = Counter()
+        responses: dict[int, int] = {}
         failed = False
         for e in victims:
             probe = qw - {e}
-            out = kb.lookup(probe)
+            out = known(probe)
             if out is None:
+                out = deduced.get(probe)
+            if out is None:
+                # busy holds the deductions under way above this one, not q:
+                # a probe holds w, which q lacks, so it is never q itself.
                 if probe in busy:
                     failed = True
                     break
                 try:
-                    out = _deduce(kb, probe, busy)
+                    out = _deduce(kb, probe, busy | {q})
                 except DeductionError:
                     failed = True
                     break
-                kb.deduced[probe] = out
+                deduced[probe] = out
             if len(out) != 1:
                 raise InconsistentAnswersError("deduction requires singleton answers")
-            responses[next(iter(out))] += 1
+            (v,) = out
+            responses[v] = responses.get(v, 0) + 1
         if failed:
             continue
         if w in responses:
@@ -249,11 +259,13 @@ def _deduce(kb: KnowledgeBase, q: frozenset[int], busy: set[frozenset[int]]) -> 
         if len(cands) == 1:
             return frozenset(cands)
         if cands:
+            if zone_mix is None:
+                zone_mix, sided_subs = set(), {1: [], 4: []}
             zone_mix |= zones
             if len(zones) == 1:
                 sided_subs[next(iter(zones))].append(w)
-            accum = set(cands) if accum is None else accum & cands
-            if accum and len(accum) == 1:
+            accum = cands if accum is None else accum & cands
+            if len(accum) == 1:
                 return frozenset(accum)
     if accum and len(accum) == 2 and len(zone_mix) == 1:
         # Every run certified the same zone, so the substitutes all clear

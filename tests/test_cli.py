@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, two-phase plan/solve, exit codes."""
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -104,6 +105,7 @@ def test_seed_and_order_conflict(tmp_path, capsys, seed):
     ("recursive", "4:1", 9),    # minimum instrument: every query, no chain
     ("recursive", "4:4", 9),    # mirrored minimum instrument
     ("adjacency", "3:1", 9),    # rho = 0: every query under an empty reference
+    ("recursive", "5:2", 12),   # the benchmark's recursive shape: five fans of width 4
 ])
 def test_plan_then_solve_round_trip(tmp_path, capsys, algo, spec_text, n):
     plan_path = tmp_path / "plan.json"
@@ -138,6 +140,18 @@ def test_plan_then_solve_round_trip(tmp_path, capsys, algo, spec_text, n):
     assert doc["large_segment"] == sorted(res.l_set)
     assert doc["orientation"] == res.orientation
     assert doc["queries_used"] == res.queries_used
+
+
+@pytest.mark.parametrize("algo,spec_text,n,digest", [
+    ("adjacency", "4:2", 20, "25c682e4a20cc90c1bd4f736861ffe45c269aca4e150b7f8d51861cd869de3a5"),
+    ("recursive", "5:2", 14, "7b07a07707377460f9c42ea50c08e4f8e1675b8da84f5827bc8b384902305e37"),
+])
+def test_plan_stdout_is_pinned(capsys, algo, spec_text, n, digest):
+    # sha256 of the exported plan document, byte for byte: the query lists,
+    # their order and the JSON layout.
+    code, out, _ = run_cli(capsys, "plan", "--algo", algo, "--scale", spec_text, "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_solve_rejects_inconsistent_answers(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Deduction-engine tests: lower bound, pair extraction, deduction, replay."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -160,6 +161,17 @@ class TestDeduceQuery:
         assert all(known[p] == {1} for p in probes)
         with pytest.raises(DeductionError):
             deduce_query(kb, {2, 3, 4})
+
+    def test_probe_answered_with_two_ids_is_refused(self):
+        # The first probe of {1, 3, 6} swaps 1 for the chain member 4; its
+        # recorded answer names two ids, which no singleton instrument gives.
+        spec = ScaleSpec(3, (2,))
+        kb = _knowledge_base_for(spec, HiddenOrder.identity(8), (4,))
+        kb.known.pop(frozenset({1, 3, 6}))
+        kb.known[frozenset({3, 4, 6})] = frozenset({3, 4})
+        with pytest.raises(InconsistentAnswersError,
+                           match="deduction requires singleton answers"):
+            deduce_query(kb, {1, 3, 6})
 
     def test_minimum_scale_rejected(self):
         spec = ScaleSpec(3, (1,))
@@ -509,3 +521,54 @@ def test_deduction_matches_truth_seeded(k, t, n):
         kb = KnowledgeBase(spec, known, chain, below, above, free)
         for combo in itertools.combinations(range(n), k):
             assert deduce_query(kb, combo) == outcome_of(order.ranks, spec.outputs, combo)
+
+
+# (spec, n, seed, cut, reverse, sha256 of the answers, sha256 of the sorted
+# memo, memo size).  A sweep deduces every k-subset of range(n), in
+# lexicographic order or its reverse, from a recursive plan answered under
+# HiddenOrder.from_seed(n, seed), less every recorded query whose only
+# superset member is below `cut`.  Every probe holds its substitute, a
+# superset member, so with t = 2 a full plan records it; the withheld
+# answers and the reversed order, which reaches queries outside the
+# superset before the withheld ones, make the engine recurse.  Under
+# stdlib `trace` the 4:2 case recurses 440 times, finds a probe already on
+# the busy path 220 times and settles 280 ties in `_pair_order_tiebreak`;
+# the 5:2 case recurses 280 times and finds the busy path 420 times; the
+# 3:2 case is a full plan in lexicographic order, as the benchmark's
+# deduce-all sweeps read it.
+PINNED_DEDUCTION = [
+    ("4:2", 16, 2, 2, True, "089c1fd575ffd77ee9c801b8162a8668351f8cb0fd56aa0496fcaba12deb18bd",
+     "3c7fbd8fa4d78198719f49f02982436ff2c8dd957a9742571733bc4f89a7766c", 935),
+    ("3:2", 20, 0, 0, False, "5ad2789300a06ae22d58b5b39927b8e0e3c110e57919628ee4dde6d4da9cbd9d",
+     "88d971badd178c6d7a2d919af1d403ad7be61c18c244f65d756a21c52aca67c3", 680),
+    ("5:2", 13, 0, 4, True, "11c11e9d2f31efdfb3a769714d80b9c16c4c8671f03db70b713c82844f243380",
+     "9060a75b620a759c492b2f86f81ee7b814807ed120459c25e23b4a1c470eb149", 336),
+]
+
+
+@pytest.mark.parametrize("text,n,seed,cut,reverse,answers_sha,deduced_sha,deduced_len",
+                         PINNED_DEDUCTION)
+def test_deduction_sweeps_are_pinned(text, n, seed, cut, reverse, answers_sha, deduced_sha,
+                                     deduced_len):
+    spec = ScaleSpec.parse(text)
+    plan = recursive_plan(n, spec)
+    order = HiddenOrder.from_seed(n, seed)
+    known = answer_plan(Oracle(order, spec), plan)
+    closure = {q: known[q] for q in map(frozenset, plan.closure_queries)}
+    chain, below, above, free = order_superset(closure, plan.superset, spec)
+    superset = frozenset(plan.superset)
+    for q in [q for q in known if len(q & superset) == 1 and min(q) < cut]:
+        del known[q]
+    kb = KnowledgeBase(spec, known, chain, below, above, free)
+    combos = list(itertools.combinations(range(n), spec.k))
+    if reverse:
+        combos.reverse()
+    answers = []
+    for combo in combos:
+        out = deduce_query(kb, combo)
+        assert out == outcome_of(order.ranks, spec.outputs, combo)
+        answers.append(sorted(out))
+    deduced = sorted((sorted(q), sorted(o)) for q, o in kb.deduced.items())
+    digest = lambda value: hashlib.sha256(repr(value).encode()).hexdigest()
+    assert (digest(answers), digest(deduced), len(deduced)) == (answers_sha, deduced_sha,
+                                                                 deduced_len)
