@@ -16,10 +16,11 @@ from its reflection.  With n > 2k, brute force over every complete answer
 set (k <= 4, n = 2k+1) finds no other ambiguity.
 
 The Oracle is single-writer: each evaluation appends its sorted query ids
-and then its sorted outcome ids to one flat array("i") store, k + s ids per
-query, and the query count is the store's length over k + s; so one oracle
-must not be shared by concurrent queriers.  Element ids are C ints, which
-caps them at 2**31 - 1, far beyond any HiddenOrder that fits in memory.
+and then its sorted outcome ids to an array("i") store kept in chunks of
+whole queries, k + s ids per query, and the query count is the store's
+length over k + s; so one oracle must not be shared by concurrent
+queriers.  Element ids are C ints, which caps them at 2**31 - 1, far
+beyond any HiddenOrder that fits in memory.
 Value types (ScaleSpec, HiddenOrder, SortResult) are immutable.
 """
 
@@ -29,7 +30,7 @@ import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import chain, combinations, islice, permutations
 from math import comb
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator
@@ -39,6 +40,9 @@ REFLECTION_AMBIGUOUS = "reflection_ambiguous"
 
 # Largest universe the n! consistency enumeration accepts.
 MAX_CONSISTENCY_N = 9
+
+# Ids per Oracle store chunk: 64 KiB of C ints.
+STORE_CHUNK_IDS = 1 << 14
 
 
 class ScaleError(ValueError):
@@ -206,30 +210,34 @@ class Transcript(Sequence):
     the list of pairs it stands for, and has that list's repr.
     """
 
-    __slots__ = ("_store", "_k", "_width", "_stop")
+    __slots__ = ("_chunks", "_k", "_width", "_rows", "_len")
 
-    def __init__(self, store: array, k: int, s: int):
-        self._store = store
+    def __init__(self, chunks: list[array], k: int, s: int, rows: int):
+        """`chunks` hold `rows` queries each, but the last, which may hold fewer."""
+        self._chunks = chunks
         self._k = k
         self._width = k + s
-        self._stop = len(store)
+        self._rows = rows
+        self._len = (len(chunks) - 1) * rows + len(chunks[-1]) // self._width
 
     def __len__(self) -> int:
-        return self._stop // self._width
+        return self._len
 
     def __getitem__(self, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        count = len(self)
+        count = self._len
         if index < 0:
             index += count
         if not 0 <= index < count:
             raise IndexError("transcript index out of range")
-        base = index * self._width
-        return (tuple(self._store[base:base + self._k]),
-                tuple(self._store[base + self._k:base + self._width]))
+        chunk, row = divmod(index, self._rows)
+        store, base = self._chunks[chunk], row * self._width
+        return (tuple(store[base:base + self._k]),
+                tuple(store[base + self._k:base + self._width]))
 
     def __iter__(self):
         k = self._k
-        for row in zip(*[islice(self._store, self._stop)] * self._width):
+        ids = islice(chain.from_iterable(self._chunks), self._len * self._width)
+        for row in zip(*[ids] * self._width):
             yield row[:k], row[k:]
 
     def __eq__(self, other):
@@ -244,11 +252,17 @@ class Transcript(Sequence):
 class Oracle:
     """Simulated instrument over a hidden order.
 
-    Every evaluation is recorded in one flat array("i") store: the k sorted
+    Every evaluation is recorded in an array("i") store: the k sorted
     query ids, then the s sorted outcome ids.  query_count is the store's
     length over k + s, so query accounting cannot be bypassed by callers
     that only see outcomes, and a query rejected by validation writes
     nothing.  Repeating a query returns the same value but is counted again.
+
+    The store is a list of chunks of at most STORE_CHUNK_IDS ids, whole
+    queries each, rather than one array: one array of several MiB would be
+    regrown by realloc, which copies it or not depending on the allocator's
+    history, so the peak memory of a long sort would change by MiBs from one
+    run to the next.  Chunks stay small and are never regrown once full.
     """
 
     def __init__(self, order: HiddenOrder, spec: ScaleSpec):
@@ -265,8 +279,15 @@ class Oracle:
         self._rank = order.ranks.__getitem__
         self._positions = [t - 1 for t in spec.outputs]
         self._width = spec.k + spec.s
-        self._store = array("i")
-        self._record = self._store.fromlist
+        self._rows = max(1, STORE_CHUNK_IDS // self._width)  # queries per chunk
+        self._chunks: list[array] = []
+        self._next_chunk()
+
+    def _next_chunk(self) -> None:
+        chunk = array("i")
+        self._chunks.append(chunk)
+        self._record = chunk.fromlist
+        self._room = self._rows
 
     @property
     def spec(self) -> ScaleSpec:
@@ -278,12 +299,12 @@ class Oracle:
 
     @property
     def query_count(self) -> int:
-        return len(self._store) // self._width
+        return (len(self._chunks) - 1) * self._rows + len(self._chunks[-1]) // self._width
 
     @property
     def transcript(self) -> Transcript:
         """Recorded (query, outcome) pairs as sorted id tuples, as of now."""
-        return Transcript(self._store, self._spec.k, self._spec.s)
+        return Transcript(self._chunks[:], self._spec.k, self._spec.s, self._rows)
 
     def query(self, elements: Iterable[int]) -> frozenset[int]:
         ids = list(elements)
@@ -306,6 +327,9 @@ class Oracle:
         answer = frozenset(out)
         out.sort()
         record(out)
+        self._room -= 1
+        if not self._room:
+            self._next_chunk()
         return answer
 
 

@@ -220,6 +220,32 @@ class TestTranscript:
         oracle.query([3, 4, 5, 6, 7])
         assert oracle.transcript == self.PAIRS + [((3, 4, 5, 6, 7), (4, 6))]
 
+    def test_store_chunks_hold_whole_queries(self, monkeypatch):
+        # A 5:2,4 query takes 7 ids, so chunks of 14 or of 20 ids hold two
+        # queries each, never a part of one: 7 queries fill three chunks and
+        # start a fourth.
+        for chunk_ids in (14, 20):
+            monkeypatch.setattr(core, "STORE_CHUNK_IDS", chunk_ids)
+            oracle = Oracle(HiddenOrder.identity(8), ScaleSpec(5, (2, 4)))
+            rng = random.Random(chunk_ids)
+            expected = []
+            for _ in range(7):
+                query = rng.sample(range(8), 5)
+                oracle.query(query)
+                expected.append((tuple(sorted(query)),
+                                 tuple(sorted(outcome_of(range(1, 9), (2, 4), query)))))
+                view = oracle.transcript
+                assert oracle.query_count == len(view) == len(expected)
+                assert view == expected and list(view) == expected
+                assert [view[i] for i in range(len(expected))] == expected
+                assert view[-1] == expected[-1]
+            assert len(oracle._chunks) == 4
+            assert all(len(chunk) == 14 for chunk in oracle._chunks[:-1])
+            oracle.query([3, 4, 5, 6, 7])
+            assert view == expected and len(view) == 7
+            with pytest.raises(IndexError):
+                view[7]
+
     def test_retained_memory_per_query(self):
         # One 4:2 online sort keeps (k + s) * 4 = 20 bytes per query in the
         # store, plus its growth slack; a list of (tuple, tuple) pairs kept
