@@ -138,6 +138,14 @@ class ScaleSpec:
         """The same physical instrument read against the reversed order."""
         return ScaleSpec(self.k, tuple(sorted(self.k + 1 - t for t in self.outputs)))
 
+    @property
+    def read_side(self) -> "ScaleSpec":
+        """The instrument as every algorithm reads it: a singleton with 2t > k+1
+        as its cheaper mirror (k; k+1-t), every other shape as itself."""
+        if self.s == 1 and 2 * self.outputs[0] > self.k + 1:
+            return self.mirrored()
+        return self
+
     @classmethod
     def parse(cls, text: str) -> "ScaleSpec":
         """Parse the text form "k:t1,t2,..." (e.g. "7:2,6")."""

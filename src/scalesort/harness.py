@@ -102,12 +102,8 @@ def ceil_log(base: int, x: int) -> int:
 
 def online_singleton_bound(n: int, spec: ScaleSpec) -> int:
     """Adaptive query allowance for a singleton instrument: n + 2*d*n'."""
-    k = spec.k
-    t = spec.outputs[0]
-    t_eff = min(t, k + 1 - t)
-    k_prime = k - t_eff + 1
-    n_prime = n - (k - 1)
-    d = ceil_log(k_prime, max(n_prime, 2))
+    n_prime = n - (spec.k - 1)
+    d = ceil_log(spec.read_side.k_prime, max(n_prime, 2))
     return n + 2 * d * n_prime
 
 

@@ -1,13 +1,15 @@
 """Non-adaptive sorting by adjacency elimination.
 
 One batch of queries is fixed up front: three fans, each consisting of every
-k-query containing a fixed reference set of size rho = ts - 1.  From the
-answers, candidate neighbor pairs are eliminated by the replacement rule: if
-a query answered x and the same query with x swapped for y did not answer y,
-then x and y cannot be adjacent.  The surviving graph on the elements that
-ever appear in an outcome is the adjacency path of the recoverable middle,
-which rebuilds the order up to reflection; one consistency sweep against the
-recorded answers then pins the direction and the extreme segments.
+k-query containing a fixed reference set of size rho = ts - 1 of
+`ScaleSpec.read_side` (rho sets only completeness, never the rule).  From
+the answers, candidate neighbor pairs are eliminated by the replacement
+rule: if a query answered x and the same query with x swapped for y did not
+answer y, then x and y cannot be adjacent.  The surviving graph on the
+elements that ever appear in an outcome is the adjacency path of the
+recoverable middle, which rebuilds the order up to reflection; one
+consistency sweep against the recorded answers then pins the direction and
+the extreme segments.
 
 Plan generation and elimination are pure functions of their inputs; fans may
 be processed in any order (elimination is monotone), and the result is the
@@ -38,22 +40,9 @@ from .core import (
 )
 
 
-def _reference_size(spec: ScaleSpec) -> int:
-    """rho = ts - 1, read against the cheaper side for singleton instruments.
-
-    A singleton scale with t > (k+1)/2 is the mirrored small-side scale, so
-    its reference size follows the mirrored position; the elimination rule
-    itself never depends on rho, only completeness does.
-    """
-    if spec.s == 1:
-        t = spec.outputs[0]
-        return min(t, spec.k + 1 - t) - 1
-    return spec.outputs[-1] - 1
-
-
 def plan_size_formula(n: int, spec: ScaleSpec) -> int:
     """Exact query count of the adjacency plan: 3*C(n-rho, k-rho), or C(n,k) if rho=0."""
-    rho = _reference_size(spec)
+    rho = spec.read_side.outputs[-1] - 1
     if rho == 0:
         return comb(n, spec.k)
     return 3 * comb(n - rho, spec.k - rho)
@@ -74,7 +63,7 @@ def build_adjacency_plan(n: int, spec: ScaleSpec) -> QueryPlan:
             f"{spec.bottom_block_size or spec.top_block_size}, so the surviving graph is"
             " never a path")
     k = spec.k
-    rho = _reference_size(spec)
+    rho = spec.read_side.outputs[-1] - 1
     if rho == 0:
         if n < k + 1:
             raise PreconditionError(f"need n >= k+1 (n={n}, k={k})")
@@ -100,16 +89,14 @@ class AdjacencyMap:
         return b in self.neighbors.get(a, ())
 
     def is_path(self) -> bool:
-        m = len(self.support)
-        if m <= 1:
-            return m == 1
-        degs = sorted(len(self.neighbors[e]) for e in self.support)
-        if degs != [1, 1] + [2] * (m - 2):
-            return False
-        return len(self.walk()) == m
+        return bool(self.support) and len(self.walk()) == len(self.support)
 
     def walk(self) -> list[int]:
-        """Path sequence starting from the lowest-labeled endpoint."""
+        """Path sequence starting from the lowest-labeled endpoint.
+
+        The walk stops short, or returns [] at a vertex with two onward
+        neighbors, so it covers the support only when the graph is one path.
+        """
         if len(self.support) == 1:
             return list(self.support)
         ends = sorted(e for e in self.support if len(self.neighbors[e]) == 1)

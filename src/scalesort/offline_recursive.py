@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import comb
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .core import (
     MAX_CONSISTENCY_N,
@@ -40,7 +40,6 @@ from .core import (
     answer_plan,
     consistent_orders,
     first_contradiction,
-    mirror_result,
     rank_keys,
 )
 from . import online
@@ -135,8 +134,11 @@ class KnowledgeBase:
         return hit
 
 
+_NO_CANDIDATES: tuple[frozenset[int], frozenset[int]] = (frozenset(), frozenset())
+
+
 def _interpret_absent(counts: Mapping[int, int], k: int, t: int, m: int,
-                      beta: int) -> tuple[set[int], set[int]]:
+                      beta: int) -> tuple[AbstractSet[int], AbstractSet[int]]:
     """Candidate targets when the substitute itself was never answered.
 
     Below the target (zone 1), the substitute leaves c >= beta placed members
@@ -145,19 +147,19 @@ def _interpret_absent(counts: Mapping[int, int], k: int, t: int, m: int,
     answers k - t - m + j times.  A value is a candidate when its multiplicity
     lies in either window (the k - m probes fix the other value's); the true
     zone's window holds the target's, so the target is in every nonempty
-    candidate set.
+    candidate set.  One value gives none, and builds nothing.
     """
     if len(counts) != 2:
-        return set(), set()
-    below = range(max(t - 1 - m, 1), t - beta)
-    above = range(max(k - t - m, 1), k - t - m + beta + 1)
+        return _NO_CANDIDATES
+    lo_below, hi_below = max(t - 1 - m, 1), t - beta
+    lo_above, hi_above = max(k - t - m, 1), k - t - m + beta + 1
     cands: set[int] = set()
     zones: set[int] = set()
     for x, cx in counts.items():
-        if cx in below:
+        if lo_below <= cx < hi_below:
             cands.add(x)
             zones.add(1)
-        if cx in above:
+        if lo_above <= cx < hi_above:
             cands.add(x)
             zones.add(4)
     return cands, zones
@@ -300,14 +302,11 @@ class RecursivePlan(QueryPlan):
     """The superset closure, then one fan per (t-1)-subset of the superset.
 
     The first fan, with an empty reference, is the closure: every k-subset
-    of the superset.  spec is the instrument as the plan reads it, with
-    t <= (k+1)/2.  When mirrored is set, the physical instrument is its
-    mirror image (k+1-t): that instrument answers every query with the same
-    set, so only the solved order is reversed.
+    of the superset.  spec is the physical instrument; the fans are those
+    of its `read_side`.
     """
 
     superset: tuple[int, ...]
-    mirrored: bool
 
     @property
     def closure_queries(self) -> list[tuple[int, ...]]:
@@ -332,31 +331,26 @@ def plan_size_formula(n: int, k: int, t: int) -> int:
 def recursive_plan(n: int, spec: ScaleSpec) -> RecursivePlan:
     """The one-shot plan of a singleton instrument.
 
-    An instrument with t > (k+1)/2 is planned as its mirror image.  A
-    minimum instrument (t = 1) has no reference chain to order: its
-    superset and closure are empty and its one other fan, with an empty
-    reference, is every one of the C(n, k) queries.  A superset of more than
-    MAX_CONSISTENCY_N members is refused, since its closure is ordered by
-    enumerating every order of it.
+    The fans are those of `spec.read_side`.  A minimum instrument (t = 1)
+    has no reference chain to order: its superset and closure are empty and
+    its one other fan, with an empty reference, is every one of the C(n, k)
+    queries.  A superset of more than MAX_CONSISTENCY_N members is refused,
+    since its closure is ordered by enumerating every order of it.
     """
     if spec.s != 1:
         raise UnsupportedScaleError("the recursive plan requires a singleton instrument")
-    text = spec.text
-    mirrored = spec.outputs[0] > (spec.k + 1) / 2
-    if mirrored:
-        spec = spec.mirrored()
-    k, t = spec.k, spec.outputs[0]
+    k, t = spec.k, spec.read_side.outputs[0]
     superset = tuple(range(k + t - 2)) if t > 1 else ()
     if len(superset) > MAX_CONSISTENCY_N:
         raise UnsupportedScaleError(
-            f"recursive plan cannot sort {text}: its superset of {len(superset)} ids"
+            f"recursive plan cannot sort {spec.text}: its superset of {len(superset)} ids"
             f" is above MAX_CONSISTENCY_N = {MAX_CONSISTENCY_N}")
     if n <= 2 * k:
         raise PreconditionError(f"the recursive plan needs n > 2k, got n={n} k={k}")
     fans = [Fan(frozenset(), superset, k)]
     for ref in itertools.combinations(superset, t - 1):
         fans.append(Fan(frozenset(ref), tuple(e for e in range(n) if e not in ref), k - t + 1))
-    return RecursivePlan(n, spec, tuple(fans), superset, mirrored)
+    return RecursivePlan(n, spec, tuple(fans), superset)
 
 
 def build_recursive_plan(n: int, k: int, t: int) -> RecursivePlan:
@@ -425,11 +419,7 @@ class ReplayOracle:
 
     def query(self, elements: Iterable[int]) -> frozenset[int]:
         qs = frozenset(elements)
-        if len(qs) != self._spec.k:
-            raise PreconditionError(f"query must contain {self._spec.k} distinct elements")
-        out = self._kb.lookup(qs)
-        if out is None:
-            out = deduce_query(self._kb, qs)
+        out = self._kb.lookup(qs) or deduce_query(self._kb, qs)
         self._count += 1
         return out
 
@@ -441,10 +431,12 @@ def solve_from_results(plan: RecursivePlan,
 
     Every plan query must be answered: deduction could stand in for a
     missing fan answer, but queries_used counts physical plan entries
-    (overlapping fans resubmit their shared queries).  The solved order is
-    returned only if it agrees with every answer.
+    (overlapping fans resubmit their shared queries).  The superset and the
+    deduction read the plan's `read_side`; the replay, like every online
+    sort, mirrors itself back to the physical instrument.  The solved order
+    is returned only if it agrees with every answer.
     """
-    spec = plan.spec
+    spec = plan.spec.read_side
     k, t = spec.k, spec.outputs[0]
     # The plan's distinct queries are exactly the k-subsets of range(n) with
     # at least t - 1 superset members, so counting the answered ones is
@@ -467,16 +459,16 @@ def solve_from_results(plan: RecursivePlan,
     closure = {q: results[q] for q in map(frozenset, plan.closure_queries)}
     chain, below, above, free = order_superset(closure, plan.superset, spec)
     kb = KnowledgeBase(spec, results, chain, below, above, free)
-    res = online.singleton_sort(ReplayOracle(spec, plan.n, kb))
+    res = online.singleton_sort(ReplayOracle(plan.spec, plan.n, kb))
     # Deduction trusts every answer it reads, so a corrupted answer can steer
     # the replay to an order that contradicts it or another answer.
-    bad = first_contradiction(results.items(), res.middle, res.s_set, res.l_set, spec.outputs)
+    bad = first_contradiction(results.items(), res.middle, res.s_set, res.l_set,
+                              plan.spec.outputs)
     if bad is not None:
         q, o = bad
         raise InconsistentAnswersError(
             f"the solved order contradicts the answer {sorted(o)} to query {sorted(q)}")
-    res = replace(res, queries_used=plan.size)
-    return mirror_result(res) if plan.mirrored else res
+    return replace(res, queries_used=plan.size)
 
 
 def recursive_sort(oracle) -> SortResult:

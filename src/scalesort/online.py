@@ -248,10 +248,9 @@ def singleton_sort(oracle) -> SortResult:
     spec = oracle.spec
     if spec.s != 1:
         raise UnsupportedScaleError("singleton_sort requires a single output position")
-    t, k = spec.outputs[0], spec.k
-    if t - 1 > k - t:
+    if spec.read_side != spec:
         return mirror_result(singleton_sort(MirroredOracle(oracle)))
-    if oracle.n < 2 * k - 2:
+    if oracle.n < 2 * spec.k - 2:
         # No k-1 reference set exists: ask every query, rebuild by adjacency.
         plan = QueryPlan.exhaustive(oracle.n, spec)
         return offline_adjacency.solve_from_results(plan, answer_plan(oracle, plan))
@@ -266,7 +265,7 @@ def multi_elimination_bound(n: int, spec: ScaleSpec) -> int:
 def _staged_sort(oracle, stats: MultiSortStats) -> SortResult:
     """The pipeline for every shape but an end-block run; `stats` gets its stage counts.
 
-    A singleton (mirrored to t - 1 <= k - t) runs no prefix round, knockout
+    A singleton (read from its `read_side`) runs no prefix round, knockout
     or direction probe: its S' is S, and an unlabelled singleton is symmetric.
     """
     spec = oracle.spec

@@ -145,6 +145,8 @@ def test_plan_then_solve_round_trip(tmp_path, capsys, algo, spec_text, n):
 @pytest.mark.parametrize("algo,spec_text,n,digest", [
     ("adjacency", "4:2", 20, "25c682e4a20cc90c1bd4f736861ffe45c269aca4e150b7f8d51861cd869de3a5"),
     ("recursive", "5:2", 14, "7b07a07707377460f9c42ea50c08e4f8e1675b8da84f5827bc8b384902305e37"),
+    ("recursive", "5:4", 14, "297f3b81231853d8aa2fe1bc82cbd942bc088b7343859559631008ccffe09aa2"),
+    ("adjacency", "5:4", 16, "560613385b98983469eeed7cf850526926176fedcad35b46c043567e5f8564f7"),
 ])
 def test_plan_stdout_is_pinned(capsys, algo, spec_text, n, digest):
     # sha256 of the exported plan document, byte for byte: the query lists,

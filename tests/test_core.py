@@ -75,6 +75,20 @@ class TestScaleSpec:
         assert ScaleSpec(6, (2, 4)).mirrored() == ScaleSpec(6, (3, 5))
         assert ScaleSpec(5, (2, 4)).mirrored() == ScaleSpec(5, (2, 4))
 
+    def test_read_side(self):
+        # Every valid instrument with k <= 9: only a singleton with 2t > k+1
+        # is read as its mirror, and a read side reads as itself.
+        mirrored = 0
+        for k in range(2, 10):
+            for s in range(1, k):
+                for outputs in itertools.combinations(range(1, k + 1), s):
+                    spec = ScaleSpec(k, outputs)
+                    flip = s == 1 and 2 * outputs[0] > k + 1
+                    assert spec.read_side == (spec.mirrored() if flip else spec)
+                    assert spec.read_side.read_side == spec.read_side
+                    mirrored += flip
+        assert mirrored == sum(k // 2 for k in range(2, 10))
+
 
 class TestHiddenOrder:
     def test_identity_and_by_rank(self):

@@ -239,12 +239,47 @@ def test_elimination_matches_the_pairwise_rule_on_hostile_answers(case, seed, co
     assert (adj.support, adj.neighbors) == _pairwise_rule(plan, results)
 
 
+def _reference_walk(m, edges):
+    """The vertices of a path graph on range(m) from its lower-labelled end, else None."""
+    degrees = sorted(sum(v in edge for edge in edges) for v in range(m))
+    if m == 0 or degrees != ([0] if m == 1 else [1, 1] + [2] * (m - 2)):
+        return None
+    reached = {0}
+    for _ in range(m):
+        reached |= {v for edge in edges if reached & set(edge) for v in edge}
+    if len(reached) != m:
+        return None
+    links = {frozenset(edge) for edge in edges}
+    return next(list(p) for p in itertools.permutations(range(m))
+                if all(frozenset(pair) in links for pair in zip(p, p[1:])))
+
+
 class TestRebuild:
     def test_path_walk(self):
         adj = AdjacencyMap({1, 2, 3})
         adj.neighbors[1].discard(3)
         adj.neighbors[3].discard(1)
         assert adj.walk() in ([1, 2, 3], [3, 2, 1])
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_is_path_and_walk_on_every_small_graph(self, m):
+        # Every graph on m <= 5 labelled vertices (1,024 on five) against a
+        # reference: a path is connected with degree sequence [1, 1, 2, ...]
+        # (or one vertex), and its walk starts at its lower-labelled end.
+        pairs = list(itertools.combinations(range(m), 2))
+        paths = 0
+        for mask in range(1 << len(pairs)):
+            edges = {pair for i, pair in enumerate(pairs) if mask >> i & 1}
+            adj = AdjacencyMap(range(m))
+            for a, b in set(pairs) - edges:
+                adj.neighbors[a].discard(b)
+                adj.neighbors[b].discard(a)
+            expected = _reference_walk(m, edges)
+            assert adj.is_path() == (expected is not None)
+            if expected is not None:
+                assert adj.walk() == expected
+                paths += 1
+        assert paths == ([0, 1, 1] + [math.factorial(m) // 2] * 3)[m]
 
     def test_symmetric_reflection(self):
         spec = ScaleSpec(3, (2,))

@@ -23,7 +23,7 @@ from scalesort.core import (
     outcome_of,
     true_partition,
 )
-from scalesort.offline_adjacency import build_adjacency_plan
+from scalesort.offline_adjacency import adjacency_sort, build_adjacency_plan
 from scalesort.offline_adjacency import solve_from_results as solve_adjacency
 from scalesort.offline_recursive import (
     DeductionError,
@@ -401,8 +401,9 @@ class _ReadRecorder(dict):
         return super().get(q, default)
 
 
-def test_final_check_names_an_answer_the_replay_never_reads():
-    spec, n = ScaleSpec(4, (2,)), 11
+@pytest.mark.parametrize("text,n", [("4:2", 11), ("4:3", 11)])   # 4:3 reads as its mirror
+def test_final_check_names_an_answer_the_replay_never_reads(text, n):
+    spec = ScaleSpec.parse(text)
     plan = recursive_plan(n, spec)
     answers = answer_plan(Oracle(HiddenOrder.from_seed(n, 2), spec), plan)
     recorder = _ReadRecorder(answers)
@@ -417,6 +418,32 @@ def test_final_check_names_an_answer_the_replay_never_reads():
     with pytest.raises(InconsistentAnswersError,
                        match=rf"contradicts the answer \[{wrong}\] to query \[{query_text}\]"):
         solve_from_results(plan, corrupted)
+
+
+# sha256 over repr((transcript, result or error class name)) of 96 offline
+# sorts: both algorithms on every singleton with k <= 5, half of them read
+# from the mirror side, pinned before the mirror decision moved into
+# ScaleSpec.read_side.
+PINNED_OFFLINE_SWEEP = "d8a50090192b75168ad049eaa0e3ce9df0a08699e4c2916289fb53061332ce5e"
+
+
+def test_offline_sweep_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for sort in (adjacency_sort, recursive_sort):
+        for k in (3, 4, 5):
+            for t in range(1, k + 1):
+                for n in (2 * k + 1, 2 * k + 3):
+                    for seed in (0, 1):
+                        oracle = Oracle(HiddenOrder.from_seed(n, seed), ScaleSpec(k, (t,)))
+                        try:
+                            res = sort(oracle)
+                        except ScaleError as exc:
+                            res = type(exc).__name__
+                        digest.update(repr((oracle.transcript, res)).encode())
+                        count += 1
+    assert count == 96
+    assert digest.hexdigest() == PINNED_OFFLINE_SWEEP
 
 
 class TestOrderSuperset:
