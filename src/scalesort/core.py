@@ -19,8 +19,8 @@ The Oracle is single-writer: each evaluation appends its sorted query ids
 and then its sorted outcome ids to an array("i") store kept in chunks of
 whole queries, k + s ids per query, and the query count is the store's
 length over k + s; so one oracle must not be shared by concurrent
-queriers.  Element ids are C ints, which caps them at 2**31 - 1, far
-beyond any HiddenOrder that fits in memory.
+queriers.  Element ids are C ints, so `check_universe` refuses every n
+above 2**31 before anything is built by n.
 Value types (ScaleSpec, HiddenOrder, SortResult) are immutable.
 """
 
@@ -75,6 +75,11 @@ class PreconditionError(ScaleError):
 
 class InconsistentAnswersError(ScaleError):
     """Recorded answers contradict every admissible interpretation."""
+
+
+def check_universe(n: int) -> None:
+    if n > 2**31:
+        raise PreconditionError(f"n={n} is above 2**31, the largest n whose ids are C ints")
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,10 @@ class ScaleSpec:
 
     @property
     def read_side(self) -> "ScaleSpec":
-        """The instrument as every algorithm reads it: a singleton with 2t > k+1
-        as its cheaper mirror (k; k+1-t), every other shape as itself."""
-        if self.s == 1 and 2 * self.outputs[0] > self.k + 1:
+        """The instrument as every algorithm reads it: a singleton with 2t > k+1 as
+        (k; k+1-t), a suffix run k-j+1..k as the run 1..j, any other shape as itself."""
+        t1, k, s = self.outputs[0], self.k, self.s
+        if s == 1 and 2 * t1 > k + 1 or s > 1 and t1 == k - s + 1:
             return self.mirrored()
         return self
 
@@ -199,6 +205,7 @@ class HiddenOrder:
         """Deterministic order: Mersenne Twister seeded with `seed`, Fisher-Yates shuffle."""
         if n < 0:
             raise PreconditionError(f"n must be non-negative, got n={n}")
+        check_universe(n)
         ranks = list(range(1, n + 1))
         random.Random(seed).shuffle(ranks)
         return cls(tuple(ranks))
@@ -394,33 +401,6 @@ def answer_plan(oracle, plan) -> dict[frozenset[int], frozenset[int]]:
     return answers
 
 
-class MirroredOracle:
-    """View of an oracle under the mirrored spec.
-
-    The physical outcome of any query is identical for the (k, {t_i}) scale on
-    an order and the (k, {k+1-t_i}) scale on the reversed order, so this view
-    only swaps the instrument description; evaluation and counting are
-    shared with the wrapped oracle.
-    """
-
-    def __init__(self, inner):
-        self._inner = inner
-        self._spec = inner.spec.mirrored()
-        self.query = inner.query
-
-    @property
-    def spec(self) -> ScaleSpec:
-        return self._spec
-
-    @property
-    def n(self) -> int:
-        return self._inner.n
-
-    @property
-    def query_count(self) -> int:
-        return self._inner.query_count
-
-
 @dataclass(frozen=True)
 class SortResult:
     """Recovered ordering: middle sequence plus unordered extreme segments.
@@ -448,9 +428,12 @@ class SortResult:
             raise ScaleError(f"unknown orientation {self.orientation!r}")
 
 
-def mirror_result(result: SortResult) -> SortResult:
-    """Translate a result computed against the mirrored spec back to the original."""
-    return SortResult(tuple(reversed(result.middle)), result.l_set, result.s_set,
+def mirror_result(result: SortResult, spec: ScaleSpec) -> SortResult:
+    """Translate a result computed against `spec.mirrored()` back to `spec`; the
+    top end block comes back reversed and is listed in label order again."""
+    middle = result.middle[::-1]
+    cut = len(middle) - spec.top_block_size
+    return SortResult(middle[:cut] + tuple(sorted(middle[cut:])), result.l_set, result.s_set,
                       result.orientation, result.queries_used)
 
 

@@ -36,6 +36,7 @@ from .core import (
     SortResult,
     UnsupportedScaleError,
     answer_plan,
+    check_universe,
     first_contradiction,
 )
 
@@ -62,6 +63,7 @@ def build_adjacency_plan(n: int, spec: ScaleSpec) -> QueryPlan:
             f"adjacency plan cannot sort {spec.text}: no answer orders its end block of "
             f"{spec.bottom_block_size or spec.top_block_size}, so the surviving graph is"
             " never a path")
+    check_universe(n)
     k = spec.k
     rho = spec.read_side.outputs[-1] - 1
     if rho == 0:

@@ -38,6 +38,7 @@ from .core import (
     SortResult,
     UnsupportedScaleError,
     answer_plan,
+    check_universe,
     consistent_orders,
     first_contradiction,
     rank_keys,
@@ -347,6 +348,7 @@ def recursive_plan(n: int, spec: ScaleSpec) -> RecursivePlan:
             f" is above MAX_CONSISTENCY_N = {MAX_CONSISTENCY_N}")
     if n <= 2 * k:
         raise PreconditionError(f"the recursive plan needs n > 2k, got n={n} k={k}")
+    check_universe(n)
     fans = [Fan(frozenset(), superset, k)]
     for ref in itertools.combinations(superset, t - 1):
         fans.append(Fan(frozenset(ref), tuple(e for e in range(n) if e not in ref), k - t + 1))

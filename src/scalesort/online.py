@@ -9,8 +9,9 @@ the first pass on the shrinking set, extracts the rest through a k'-ary
 block hierarchy of reduced (k', 1) queries that always include S', and
 orders the leftover prefix elements by a max knockout padded by known-large
 elements.  A singleton (k, t) instrument is its s = 1 case, where S' is S.
-Instruments reporting a run of positions 1..j (or k-j+1..k) identify the
-unorderable end block by keep-elimination instead of growing a prefix.
+Instruments reporting a run of positions 1..j identify the unorderable end
+block by keep-elimination instead of growing a prefix.  `_sort` hands every
+stage `spec.read_side` (k-j+1..k reads as 1..j) and mirrors such a result back.
 
 All choices the method leaves open ("pick a k-set", "pick an arbitrary
 set") resolve to lowest-label selection, so transcripts are reproducible.
@@ -20,11 +21,10 @@ Each trial is strictly sequential; every query depends on earlier answers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
-    MirroredOracle,
     PreconditionError,
     QueryPlan,
     RESOLVED,
@@ -59,7 +59,7 @@ def _staged(stats: MultiSortStats | None, field: str, stage, oracle, *args):
     return value
 
 
-def _lowest_k_sweep(oracle, pool: Iterable[int], universe: Iterable[int], target: int,
+def _lowest_k_sweep(oracle, k: int, pool: Iterable[int], universe: Iterable[int], target: int,
                     keep_answered: bool) -> set[int]:
     """Shrink `pool` to `target` members by querying its k lowest-labeled members.
 
@@ -71,7 +71,6 @@ def _lowest_k_sweep(oracle, pool: Iterable[int], universe: Iterable[int], target
     the survivors of the previous query, the lowest-labeled members left,
     and `pending[nxt:]` the untouched tail, so the pool is sorted only once.
     """
-    k = oracle.spec.k
     pending = sorted(pool)
     head = pending[:k]
     nxt = len(head)
@@ -95,7 +94,7 @@ def _lowest_k_sweep(oracle, pool: Iterable[int], universe: Iterable[int], target
     return set(head).union(pending[nxt:])
 
 
-def _refine(oracle, universe: list[int], candidates: set[int]) -> set[int]:
+def _refine(oracle, spec: ScaleSpec, universe: list[int], candidates: set[int]) -> set[int]:
     """Discard the impostors an elimination sweep leaves for non-consecutive outputs.
 
     Each round takes the 2a-1 lowest-labeled discarded elements (a = k minus
@@ -103,7 +102,6 @@ def _refine(oracle, universe: list[int], candidates: set[int]) -> set[int]:
     survivors, discarding any survivor that gets answered, until
     k - 1 - (ts - t1) candidates are left.
     """
-    spec = oracle.spec
     k = spec.k
     final_target = k - 1 - (spec.outputs[-1] - spec.outputs[0])
     while len(candidates) > final_target:
@@ -125,7 +123,7 @@ def _refine(oracle, universe: list[int], candidates: set[int]) -> set[int]:
     return candidates
 
 
-def _partition(oracle, universe: list[int],
+def _partition(oracle, spec: ScaleSpec, universe: list[int],
                candidates: set[int]) -> tuple[frozenset[int], frozenset[int], bool]:
     """Split S union L into (small, large, labelled).
 
@@ -135,7 +133,6 @@ def _partition(oracle, universe: list[int],
     small one; equal sizes leave the labelling unknown (labelled False) and
     the groups in order of their lowest label.
     """
-    spec = oracle.spec
     k = spec.k
     reference = sorted(set(universe) - candidates)[:k - 1]
     if len(reference) < k - 1:
@@ -158,7 +155,7 @@ def _partition(oracle, universe: list[int],
     return (a, b, True) if len(a) == spec.s_size else (b, a, True)
 
 
-def _first_pass(oracle, universe: list[int],
+def _first_pass(oracle, spec: ScaleSpec, universe: list[int],
                 stats: MultiSortStats | None = None) -> tuple[frozenset[int], frozenset[int], bool]:
     """Identify the extreme segments of `universe`: (small, large, labelled).
 
@@ -169,13 +166,12 @@ def _first_pass(oracle, universe: list[int],
     split orients the two groups.  `stats`, if given, receives the query
     count of each of the three stages.
     """
-    spec = oracle.spec
     if len(universe) <= spec.k:
         raise PreconditionError("universe too small to identify the extreme segments")
-    candidates = _staged(stats, "initial_elimination", _lowest_k_sweep, oracle,
+    candidates = _staged(stats, "initial_elimination", _lowest_k_sweep, oracle, spec.k,
                          universe, universe, spec.k - spec.s, False)
-    candidates = _staged(stats, "refinement", _refine, oracle, universe, candidates)
-    return _staged(stats, "partition", _partition, oracle, universe, candidates)
+    candidates = _staged(stats, "refinement", _refine, oracle, spec, universe, candidates)
+    return _staged(stats, "partition", _partition, oracle, spec, universe, candidates)
 
 
 def _ordered_by_extraction(items: list[int], branching: int, find_min):
@@ -245,16 +241,25 @@ def _min_finder(oracle, prefix: list[int], pad_pool: list[int], branching: int):
 
 def singleton_sort(oracle) -> SortResult:
     """Full adaptive pipeline for a (k, t) instrument: the s = 1 case of `_staged_sort`."""
-    spec = oracle.spec
-    if spec.s != 1:
+    if oracle.spec.s != 1:
         raise UnsupportedScaleError("singleton_sort requires a single output position")
-    if spec.read_side != spec:
-        return mirror_result(singleton_sort(MirroredOracle(oracle)))
-    if oracle.n < 2 * spec.k - 2:
+    return _sort(oracle, MultiSortStats())
+
+
+def _sort(oracle, stats: MultiSortStats) -> SortResult:
+    """Run the prefix-run, small-pool or staged pipeline of `oracle.spec.read_side`,
+    and mirror the result back once when that reading is mirrored."""
+    spec = oracle.spec
+    side = spec.read_side
+    if side.bottom_block_size == side.s:
+        result = _prefix_run_sort(oracle, side, stats)
+    elif oracle.n < 2 * side.k - 2:
         # No k-1 reference set exists: ask every query, rebuild by adjacency.
-        plan = QueryPlan.exhaustive(oracle.n, spec)
-        return offline_adjacency.solve_from_results(plan, answer_plan(oracle, plan))
-    return _staged_sort(oracle, MultiSortStats())
+        plan = QueryPlan.exhaustive(oracle.n, side)
+        result = offline_adjacency.solve_from_results(plan, answer_plan(oracle, plan))
+    else:
+        result = _staged_sort(oracle, side, stats)
+    return result if side == spec else mirror_result(result, spec)
 
 
 def multi_elimination_bound(n: int, spec: ScaleSpec) -> int:
@@ -262,20 +267,20 @@ def multi_elimination_bound(n: int, spec: ScaleSpec) -> int:
     return -(-(n - (spec.k - spec.s)) // spec.s)
 
 
-def _staged_sort(oracle, stats: MultiSortStats) -> SortResult:
+def _staged_sort(oracle, spec: ScaleSpec, stats: MultiSortStats) -> SortResult:
     """The pipeline for every shape but an end-block run; `stats` gets its stage counts.
 
-    A singleton (read from its `read_side`) runs no prefix round, knockout
-    or direction probe: its S' is S, and an unlabelled singleton is symmetric.
+    A singleton runs no prefix round, knockout or direction probe: its S' is
+    S, and an unlabelled singleton is symmetric.  `_sort` has read the shape,
+    so only the probe's answer mirrors here.
     """
-    spec = oracle.spec
     n, k = oracle.n, spec.k
     t1, ts = spec.outputs[0], spec.outputs[-1]
     s_size = spec.s_size
     universe = list(range(n))
     start = oracle.query_count
 
-    s_first, l_set, labelled = _first_pass(oracle, universe, stats)
+    s_first, l_set, labelled = _first_pass(oracle, spec, universe, stats)
 
     # Build S', the first ts - 1 elements, peeling one small segment per
     # round; the final round re-inserts previously removed elements when
@@ -289,7 +294,7 @@ def _staged_sort(oracle, stats: MultiSortStats) -> SortResult:
         if remaining < s_size:
             reinserted = set(sorted(sprime)[:s_size - remaining])
         working = sorted(set(universe) - (sprime - reinserted))
-        layer, other, _ = _first_pass(oracle, working)
+        layer, other, _ = _first_pass(oracle, spec, working)
         if not labelled and layer == l_set:
             layer, other = other, layer
         if not labelled and other != l_set:
@@ -338,10 +343,10 @@ def _staged_sort(oracle, stats: MultiSortStats) -> SortResult:
         if flip and actual != frozenset(probe[k - t] for t in spec.outputs):
             raise InconsistentAnswersError("direction check matched neither reading")
     result = SortResult(tuple(middle), s_first, l_set, orientation, oracle.query_count - start)
-    return mirror_result(result) if flip else result
+    return mirror_result(result, spec) if flip else result
 
 
-def _prefix_run_sort(oracle, stats: MultiSortStats) -> SortResult:
+def _prefix_run_sort(oracle, spec: ScaleSpec, stats: MultiSortStats) -> SortResult:
     """Pipeline for instruments reporting exactly positions 1..j (j < k).
 
     The j globally smallest elements all appear in every outcome of a query
@@ -350,19 +355,18 @@ def _prefix_run_sort(oracle, stats: MultiSortStats) -> SortResult:
     which is the most the answers determine.  The rest is sorted through the
     reduced instrument with j - 1 of the block members as the fixed prefix.
     """
-    spec = oracle.spec
     j = spec.outputs[-1]
     universe = list(range(oracle.n))
     start = oracle.query_count
 
-    _, l_set, labelled = _first_pass(oracle, universe, stats)
+    _, l_set, labelled = _first_pass(oracle, spec, universe, stats)
     if not labelled:
         raise InconsistentAnswersError("prefix instrument must label its segments by size")
 
     # Keep-elimination: survivors of "am I always among the answers?" are
     # exactly the j smallest elements of the working set.
     working = set(universe) - l_set
-    block = _staged(stats, "extra", _lowest_k_sweep, oracle, working, universe, j, True)
+    block = _staged(stats, "extra", _lowest_k_sweep, oracle, spec.k, working, universe, j, True)
 
     prefix = sorted(block)[:j - 1]
     rest = sorted(working - block)
@@ -380,20 +384,13 @@ def multi_sort_with_stats(oracle) -> tuple[SortResult, MultiSortStats]:
         raise PreconditionError(
             f"multi-output sorting needs n > 2k (n={oracle.n}, k={spec.k}); below that "
             "an indistinguishable middle segment can exist")
-    stats = MultiSortStats()
-    if spec.bottom_block_size == spec.s:
-        return _prefix_run_sort(oracle, stats), stats
-    if spec.top_block_size == spec.s:
-        res = mirror_result(_prefix_run_sort(MirroredOracle(oracle), stats))
-        # The unorderable top block comes back reversed; restore the
-        # label-order presentation used on the prefix side.
-        top = res.middle[-spec.s:]
-        return replace(res, middle=res.middle[:-spec.s] + tuple(sorted(top))), stats
-    if spec.outputs[0] == 1 or spec.outputs[-1] == spec.k:
+    side = spec.read_side
+    if side.bottom_block_size != side.s and (spec.outputs[0] == 1 or spec.outputs[-1] == spec.k):
         raise UnsupportedScaleError(
             "instruments reporting position 1 or k are supported only for a"
             " consecutive run of positions ending there")
-    return _staged_sort(oracle, stats), stats
+    stats = MultiSortStats()
+    return _sort(oracle, stats), stats
 
 
 def sort_online(oracle) -> SortResult:

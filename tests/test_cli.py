@@ -352,6 +352,24 @@ def test_solve_refuses_an_n_beyond_its_answers(tmp_path, capped_python, algo, n,
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
+@pytest.mark.parametrize("n", [2**31 + 1, 10**20])
+@pytest.mark.parametrize("argv", [
+    ("sort-online", "--scale", "3:2", "--n"),
+    ("sort-offline", "--algo", "adjacency", "--scale", "3:2", "--n"),
+    ("sort-offline", "--algo", "recursive", "--scale", "3:2", "--n"),
+    ("plan", "--algo", "adjacency", "--scale", "3:2", "--n"),
+    ("plan", "--algo", "recursive", "--scale", "3:2", "--n"),
+    ("bench", "--scale", "3:2", "--n-list"),
+], ids=lambda argv: "-".join(a for a in argv if not a.startswith("-") and ":" not in a))
+def test_an_n_beyond_the_id_range_is_refused(capped_python, argv, n):
+    # Ids are C ints, so n above 2**31 is refused before anything is built by n.
+    proc = capped_python("-m", "scalesort", *argv, str(n))
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0] == (
+        f"error: n={n} is above 2**31, the largest n whose ids are C ints")
+
+
 def test_results_loader_peaks_near_the_parse_and_shares_outcomes(tmp_path, capsys):
     # An answered recursive 5:2 plan at n = 16: 6,826 records of 3,906
     # distinct queries.  Reading every record before releasing any holds

@@ -77,17 +77,20 @@ class TestScaleSpec:
 
     def test_read_side(self):
         # Every valid instrument with k <= 9: only a singleton with 2t > k+1
-        # is read as its mirror, and a read side reads as itself.
+        # and a suffix run k-j+1..k (j >= 2) are read as their mirrors, and a
+        # read side reads as itself.
         mirrored = 0
         for k in range(2, 10):
             for s in range(1, k):
                 for outputs in itertools.combinations(range(1, k + 1), s):
                     spec = ScaleSpec(k, outputs)
-                    flip = s == 1 and 2 * outputs[0] > k + 1
+                    flip = (s == 1 and 2 * outputs[0] > k + 1
+                            or s >= 2 and outputs == tuple(range(k - s + 1, k + 1)))
                     assert spec.read_side == (spec.mirrored() if flip else spec)
                     assert spec.read_side.read_side == spec.read_side
                     mirrored += flip
-        assert mirrored == sum(k // 2 for k in range(2, 10))
+        # k // 2 singletons and k - 2 suffix runs for each k.
+        assert mirrored == sum(k // 2 + k - 2 for k in range(2, 10))
 
 
 class TestHiddenOrder:

@@ -15,6 +15,7 @@ from scalesort.core import (
     REFLECTION_AMBIGUOUS,
     ScaleError,
     ScaleSpec,
+    SortResult,
     UnsupportedScaleError,
     equivalent_up_to_ambiguity,
     true_partition,
@@ -35,7 +36,7 @@ from scalesort.online import (
 def first_pass(oracle):
     """The shared first pass on the full universe, with its stage counts."""
     stats = MultiSortStats()
-    small, large, labelled = _first_pass(oracle, list(range(oracle.n)), stats)
+    small, large, labelled = _first_pass(oracle, oracle.spec, list(range(oracle.n)), stats)
     return small, large, labelled, stats
 
 
@@ -93,7 +94,8 @@ class TestPartitionSL:
         small, large, labelled, _ = first_pass(oracle)
         reference = sorted(set(range(12)) - small - large)[:5]
         assert reference == [1, 2, 3, 4, 5]
-        assert _partition(oracle, list(range(12)), small | large) == (small, large, labelled)
+        assert _partition(oracle, oracle.spec, list(range(12)), small | large) == (
+            small, large, labelled)
         assert small == frozenset({0})
         assert large == frozenset({10, 11})
         assert labelled
@@ -394,6 +396,47 @@ def test_small_sweep_is_pinned():
             count += 1
     assert count == 920
     assert digest.hexdigest() == PINNED_SWEEP
+
+
+def _mirrored_cases():
+    """Every shape with k <= 7 read as its mirror: singletons with 2t > k+1
+    at n = k+1..2k+4, suffix runs k-j+1..k at n = 2k+1 and 2k+3."""
+    for k in range(2, 8):
+        for t in range((k + 1) // 2 + 1, k + 1):
+            for n in range(k + 1, 2 * k + 5):
+                yield ScaleSpec(k, (t,)), n
+        for j in range(2, k):
+            for n in (2 * k + 1, 2 * k + 3):
+                yield ScaleSpec(k, tuple(range(k - j + 1, k + 1))), n
+
+
+def _sort_or_error(oracle):
+    try:
+        return sort_online(oracle)
+    except ScaleError as exc:
+        return type(exc).__name__
+
+
+def test_mirroring_is_only_a_relabelling():
+    # An instrument read against the reversed order is its mirror, so the
+    # mirror sorting the reversed order must ask the same queries and find
+    # the mirror image of the same result, its top end block in label order.
+    count = 0
+    for spec, n in _mirrored_cases():
+        for seed in range(3):
+            order = HiddenOrder.from_seed(n, seed)
+            oracle = Oracle(order, spec)
+            mirror = Oracle(order.reversed_(), spec.mirrored())
+            res, expected = _sort_or_error(oracle), _sort_or_error(mirror)
+            assert oracle.transcript == mirror.transcript, (spec.text, n, seed)
+            if isinstance(expected, SortResult):
+                middle = expected.middle[::-1]
+                cut = len(middle) - spec.top_block_size
+                expected = SortResult(middle[:cut] + tuple(sorted(middle[cut:])), expected.l_set,
+                                      expected.s_set, expected.orientation, expected.queries_used)
+            assert res == expected, (spec.text, n, seed)
+            count += 1
+    assert count == 420
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,7 +6,9 @@ than its own definition: in the package, in the acceptance suite or in the
 benchmark.  Unit tests do not count as callers, so a member that only they
 reach fails here.  Every private top-level function and method must be named
 somewhere in the package other than its own definition, so a helper left
-behind by a refactor fails too.
+behind by a refactor fails too.  Only `ScaleSpec`'s own members call
+`.mirrored()`, so `ScaleSpec.read_side` stays the one place that decides
+whether an instrument is read as its mirror.
 """
 
 import ast
@@ -65,3 +67,16 @@ def test_every_public_member_has_a_caller():
 def test_every_private_helper_has_a_caller_in_the_package():
     unused = _unused(PACKAGE, private=True)
     assert not unused, "private helpers nothing in the package names: " + ", ".join(unused)
+
+
+def test_only_scale_spec_calls_mirrored():
+    calls = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "ScaleSpec":
+                continue
+            calls += [f"{path.name}:{sub.lineno}" for sub in ast.walk(node)
+                      if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                      and sub.func.attr == "mirrored"]
+    assert not calls, "mirrored() called outside ScaleSpec: " + ", ".join(calls)
