@@ -20,7 +20,8 @@ import argparse
 import json
 import sys
 
-from .core import HiddenOrder, PreconditionError, ScaleError, ScaleSpec, UnsupportedScaleError
+from .core import (MAX_CONSISTENCY_N, HiddenOrder, PreconditionError, ScaleError, ScaleSpec,
+                   UnsupportedScaleError)
 from . import harness, offline_adjacency, offline_recursive
 
 
@@ -170,8 +171,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     if not args.exhaustive:
         raise ScaleError("nothing to do: pass --exhaustive")
-    if args.max_n > harness.MAX_CONSISTENCY_N:
-        raise ScaleError(f"--max-n {args.max_n} is above {harness.MAX_CONSISTENCY_N}, the"
+    if args.max_n > MAX_CONSISTENCY_N:
+        raise ScaleError(f"--max-n {args.max_n} is above {MAX_CONSISTENCY_N}, the"
                          " largest n the brute-force certifier enumerates")
     if args.max_n < harness.MIN_VERIFY_N:
         raise ScaleError(f"--max-n {args.max_n} is below {harness.MIN_VERIFY_N}, the"
@@ -296,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: ran out of memory", file=sys.stderr)
         return 2
 
 

@@ -167,9 +167,6 @@ class ScaleSpec:
     def text(self) -> str:
         return f"{self.k}:{','.join(str(t) for t in self.outputs)}"
 
-    def __str__(self) -> str:
-        return self.text
-
 
 @dataclass(frozen=True)
 class HiddenOrder:
@@ -217,37 +214,25 @@ def outcome_of(ranks: Sequence[int], outputs: Sequence[int], query: Iterable[int
     return frozenset(ordered[t - 1] for t in outputs)
 
 
-class Transcript(Sequence):
+class Transcript:
     """Read-only (query, outcome) pairs of sorted id tuples over an oracle's store.
 
     A snapshot: it covers the queries recorded when it was taken, and later
-    queries do not change it.  It indexes, iterates and compares equal like
-    the list of pairs it stands for, and has that list's repr.
+    queries do not change it.  It has a length, iterates and compares equal
+    like the list of pairs it stands for, and has that list's repr.
     """
 
-    __slots__ = ("_chunks", "_k", "_width", "_rows", "_len")
+    __slots__ = ("_chunks", "_k", "_width", "_len")
 
-    def __init__(self, chunks: list[array], k: int, s: int, rows: int):
-        """`chunks` hold `rows` queries each, but the last, which may hold fewer."""
+    def __init__(self, chunks: list[array], k: int, s: int, count: int):
+        """`chunks` hold the store whose first `count` queries this covers."""
         self._chunks = chunks
         self._k = k
         self._width = k + s
-        self._rows = rows
-        self._len = (len(chunks) - 1) * rows + len(chunks[-1]) // self._width
+        self._len = count
 
     def __len__(self) -> int:
         return self._len
-
-    def __getitem__(self, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        count = self._len
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("transcript index out of range")
-        chunk, row = divmod(index, self._rows)
-        store, base = self._chunks[chunk], row * self._width
-        return (tuple(store[base:base + self._k]),
-                tuple(store[base + self._k:base + self._width]))
 
     def __iter__(self):
         k = self._k
@@ -319,7 +304,7 @@ class Oracle:
     @property
     def transcript(self) -> Transcript:
         """Recorded (query, outcome) pairs as sorted id tuples, as of now."""
-        return Transcript(self._chunks[:], self._spec.k, self._spec.s, self._rows)
+        return Transcript(self._chunks[:], self._spec.k, self._spec.s, self.query_count)
 
     def query(self, elements: Iterable[int]) -> frozenset[int]:
         ids = list(elements)

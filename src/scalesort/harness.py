@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
-    MAX_CONSISTENCY_N,  # the CLI's `verify --max-n` cap
     HiddenOrder,
     Oracle,
     PreconditionError,
@@ -53,7 +52,7 @@ class ConsistencyReport:
     consistent_orders: tuple[tuple[int, ...], ...]
 
 
-def consistent_permutations(transcript: Sequence[tuple[Sequence[int], Sequence[int]]],
+def consistent_permutations(transcript: Iterable[tuple[Sequence[int], Sequence[int]]],
                             n: int, spec: ScaleSpec) -> ConsistencyReport:
     """Enumerate all n! hidden orders consistent with a transcript (n <= MAX_CONSISTENCY_N)."""
     entries = [(tuple(q), frozenset(o)) for q, o in

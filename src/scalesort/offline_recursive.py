@@ -203,11 +203,11 @@ def _deduce(kb: KnowledgeBase, q: frozenset[int], busy: set[frozenset[int]]) -> 
     spec = kb.spec
     k, t = spec.k, spec.outputs[0]
     known, deduced = kb.known.get, kb.deduced
-    # The run's candidates, the zones certified and, per zone, the substitutes
-    # that certified it alone; built once a window first admits a candidate.
+    # The run's candidates, the zones certified and the substitutes that
+    # certified them; built once a window first admits a candidate.
     accum: set[int] | None = None
     zone_mix: set[int] | None = None
-    sided_subs: dict[int, list[int]] | None = None
+    subs: list[int] | None = None
     position = kb._position
     placed = [(p, position.get(p)) for p in sorted(q)]
     for w in kb.substitutes:
@@ -263,18 +263,16 @@ def _deduce(kb: KnowledgeBase, q: frozenset[int], busy: set[frozenset[int]]) -> 
             return frozenset(cands)
         if cands:
             if zone_mix is None:
-                zone_mix, sided_subs = set(), {1: [], 4: []}
+                zone_mix, subs = set(), []
             zone_mix |= zones
-            if len(zones) == 1:
-                sided_subs[next(iter(zones))].append(w)
+            subs.append(w)
             accum = cands if accum is None else accum & cands
             if len(accum) == 1:
                 return frozenset(accum)
     if accum and len(accum) == 2 and len(zone_mix) == 1:
         # Every run certified the same zone, so the substitutes all clear
         # both candidates on one known side; a direct pair query settles it.
-        zone = next(iter(zone_mix))
-        settled = _pair_order_tiebreak(kb, accum, sided_subs[zone], zone == 4)
+        settled = _pair_order_tiebreak(kb, accum, subs, 4 in zone_mix)
         if settled is not None:
             return frozenset((settled,))
     raise DeductionError(f"cannot deduce the answer for query {sorted(q)}")

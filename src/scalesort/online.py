@@ -65,11 +65,14 @@ def _lowest_k_sweep(oracle, k: int, pool: Iterable[int], universe: Iterable[int]
 
     Each query leaves in the pool its answered members (keep-elimination)
     or its unanswered ones; once fewer than k are left, it is topped up with
-    the lowest-labeled elements of `universe` outside the pool.  A topped-up
-    query that changes nothing ends the sweep; a full one contradicts every
-    order.  Invariant: the pool is `head` plus `pending[nxt:]`; `head` holds
-    the survivors of the previous query, the lowest-labeled members left,
-    and `pending[nxt:]` the untouched tail, so the pool is sorted only once.
+    the lowest-labeled elements of `universe` outside the pool.  A query
+    that leaves the pool unchanged contradicts every order: a topped-up one
+    holds the whole pool, which is above its target, so it has at most s - 1
+    fillers when eliminating (target k - s) and more than s members when
+    keeping (target j = s).  Invariant: the pool is `head` plus
+    `pending[nxt:]`; `head` holds the survivors of the previous query, the
+    lowest-labeled members left, and `pending[nxt:]` the untouched tail, so
+    the pool is sorted only once.
     """
     pending = sorted(pool)
     head = pending[:k]
@@ -77,17 +80,12 @@ def _lowest_k_sweep(oracle, k: int, pool: Iterable[int], universe: Iterable[int]
     while len(head) + len(pending) - nxt > target:
         q = head
         if len(head) < k:
-            fillers = sorted(set(universe) - set(head))[:k - len(head)]
-            if len(head) + len(fillers) < k:
-                raise PreconditionError("not enough discarded elements to fill a query")
-            q = head + fillers
+            q = head + sorted(set(universe) - set(head))[:k - len(head)]
         out = oracle.query(q)
         kept = [e for e in head if (e in out) == keep_answered]
         if len(kept) == len(head):
-            if len(head) == k:
-                raise InconsistentAnswersError(
-                    f"query {q} of k pool members left the pool unchanged")
-            break
+            raise InconsistentAnswersError(
+                f"query {q} of k pool members left the pool unchanged")
         top_up = pending[nxt:nxt + k - len(kept)]
         head = kept + top_up
         nxt += len(top_up)
@@ -135,8 +133,6 @@ def _partition(oracle, spec: ScaleSpec, universe: list[int],
     """
     k = spec.k
     reference = sorted(set(universe) - candidates)[:k - 1]
-    if len(reference) < k - 1:
-        raise PreconditionError("fewer than k-1 discarded elements available as reference")
     groups: dict[frozenset[int], set[int]] = {}
     for c in sorted(candidates):
         out = oracle.query([c] + reference)
@@ -166,8 +162,6 @@ def _first_pass(oracle, spec: ScaleSpec, universe: list[int],
     split orients the two groups.  `stats`, if given, receives the query
     count of each of the three stages.
     """
-    if len(universe) <= spec.k:
-        raise PreconditionError("universe too small to identify the extreme segments")
     candidates = _staged(stats, "initial_elimination", _lowest_k_sweep, oracle, spec.k,
                          universe, universe, spec.k - spec.s, False)
     candidates = _staged(stats, "refinement", _refine, oracle, spec, universe, candidates)

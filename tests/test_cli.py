@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -288,6 +289,16 @@ def test_adjacency_plan_of_a_minimum_scale_needs_k_plus_one_ids(capsys, tmp_path
     (("verify",), None, "nothing to do: pass --exhaustive"),
     (("lower-bound", "--scale", "4:2,3", "--n", "10"), None,
      "lower-bound applies to singleton instruments"),
+    (("sort-online", "--scale", "3:2", "--n", "6", "--order", "{path}"), "[1, 2, 3, 4, 5]",
+     "explicit order length 5 does not match n=6"),
+    (("bench", "--scale", "3:2", "--n-list", "8", "--algorithms", "online,foo"), None,
+     "unknown algorithm 'foo'"),
+    (("plan", "--algo", "recursive", "--scale", "4:2,3", "--n", "12"), None,
+     "the recursive plan requires a singleton instrument"),
+    # Above n > 2k, but refinement of the wide 10:2,9 needs more discarded
+    # elements than n = 21 leaves (README "Query-count contracts").
+    (("sort-online", "--scale", "10:2,9", "--n", "21"), None,
+     "need 13 discarded elements for refinement, have 12"),
 ])
 def test_malformed_inputs_are_clean_errors(tmp_path, capsys, argv, content, message):
     path = tmp_path / "input.json"
@@ -352,8 +363,8 @@ def test_solve_refuses_an_n_beyond_its_answers(tmp_path, capped_python, algo, n,
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
-@pytest.mark.parametrize("n", [2**31 + 1, 10**20])
-@pytest.mark.parametrize("argv", [
+# Every command that builds by n, each argv ending where n goes.
+_BY_N = pytest.mark.parametrize("argv", [
     ("sort-online", "--scale", "3:2", "--n"),
     ("sort-offline", "--algo", "adjacency", "--scale", "3:2", "--n"),
     ("sort-offline", "--algo", "recursive", "--scale", "3:2", "--n"),
@@ -361,6 +372,10 @@ def test_solve_refuses_an_n_beyond_its_answers(tmp_path, capped_python, algo, n,
     ("plan", "--algo", "recursive", "--scale", "3:2", "--n"),
     ("bench", "--scale", "3:2", "--n-list"),
 ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("-") and ":" not in a))
+
+
+@pytest.mark.parametrize("n", [2**31 + 1, 10**20])
+@_BY_N
 def test_an_n_beyond_the_id_range_is_refused(capped_python, argv, n):
     # Ids are C ints, so n above 2**31 is refused before anything is built by n.
     proc = capped_python("-m", "scalesort", *argv, str(n))
@@ -368,6 +383,15 @@ def test_an_n_beyond_the_id_range_is_refused(capped_python, argv, n):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0] == (
         f"error: n={n} is above 2**31, the largest n whose ids are C ints")
+
+
+@_BY_N
+def test_an_n_beyond_memory_is_a_clean_error(capped_python, argv):
+    # 2e9 ids are C ints, but the order or the plan they need does not fit
+    # in the capped address space: one error line instead of a traceback.
+    proc = capped_python("-m", "scalesort", *argv, str(2 * 10**9))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: ran out of memory\n"
 
 
 def test_results_loader_peaks_near_the_parse_and_shares_outcomes(tmp_path, capsys):
@@ -424,6 +448,15 @@ def test_bench_csv(tmp_path, capsys):
     assert lines[0] == "spec,n,seed,algorithm,queries_used,bound,ratio,correct,millis"
     assert len(lines) == 1 + 2 * 2 * 2
     assert all(line.endswith(",") for line in lines[1:])  # millis empty by default
+
+
+def test_bench_csv_with_timing(capsys):
+    code, out, _ = run_cli(capsys, "--timing", "bench", "--scale", "3:2", "--n-list", "8,10",
+                           "--trials", "2", "--algorithms", "online,offline_adjacency")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2 * 2 * 2
+    assert all(re.fullmatch(r"\d+\.\d{3}", row["millis"]) for row in rows)
 
 
 def test_bench_csv_quotes_multi_output_spec(capsys):
