@@ -43,6 +43,12 @@ ALGORITHMS = {
     "offline_recursive": offline_recursive.recursive_sort,
 }
 
+# Each offline algorithm by CLI name: its (n, spec) -> plan and (plan, answers) -> SortResult.
+OFFLINE = {
+    "adjacency": (offline_adjacency.build_adjacency_plan, offline_adjacency.solve_from_results),
+    "recursive": (offline_recursive.recursive_plan, offline_recursive.solve_from_results),
+}
+
 # Smallest universe `scalesort verify` can certify: k + 1 for its smallest arity, k = 3.
 MIN_VERIFY_N = 4
 
@@ -109,11 +115,8 @@ def online_singleton_bound(n: int, spec: ScaleSpec) -> int:
 def algorithm_bound(algorithm: str, n: int, spec: ScaleSpec) -> int | None:
     if algorithm == "online":
         return online_singleton_bound(n, spec) if spec.s == 1 else None
-    if algorithm == "offline_adjacency":
-        return offline_adjacency.plan_size_formula(n, spec)
-    if algorithm == "offline_recursive":
-        return offline_recursive.recursive_plan(n, spec).size
-    raise PreconditionError(f"unknown algorithm {algorithm!r}")
+    build, _ = OFFLINE[algorithm.removeprefix("offline_")]
+    return build(n, spec).size
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ class ExperimentReport:
     queries_used: int
     bound: int | None
     bound_satisfied: bool
-    correct: bool | None
+    correct: bool
     orientation: str
     wall_time_ms: float
 
@@ -179,18 +182,6 @@ CSV_COLUMNS = ("spec", "n", "seed", "algorithm", "queries_used", "bound",
                "ratio", "correct", "millis")
 
 
-def bench_row_bound(algorithm: str, n: int, spec: ScaleSpec) -> int | None:
-    """Comparison bound of a bench row: the adaptive allowance for online
-    rows, the information lower bound for offline rows (their plan size is
-    asserted exactly elsewhere; the interesting figure is the gap to the
-    least any one-shot plan could use)."""
-    if algorithm == "online":
-        return algorithm_bound("online", n, spec)
-    if spec.s == 1:
-        return offline_recursive.offline_lower_bound(n, spec.k, spec.outputs[0])
-    return None
-
-
 def bench_sweep(spec: ScaleSpec, n_list: Sequence[int], trials: int,
                 algorithms: Iterable[str], base_seed: int = 0,
                 include_timing: bool = False) -> list[dict]:
@@ -201,19 +192,14 @@ def bench_sweep(spec: ScaleSpec, n_list: Sequence[int], trials: int,
             seed = base_seed + trial
             for algorithm in algorithms:
                 report, _ = run_experiment(spec, n, algorithm, seed=seed)
-                bound = bench_row_bound(algorithm, n, spec)
-                ratio = report.queries_used / bound if bound else None
-                rows.append({
-                    "spec": spec.text,
-                    "n": n,
-                    "seed": seed,
-                    "algorithm": algorithm,
-                    "queries_used": report.queries_used,
-                    "bound": bound,
-                    "ratio": ratio,
-                    "correct": report.correct,
-                    "millis": report.wall_time_ms if include_timing else None,
-                })
+                row = report.to_dict(include_timing)
+                if algorithm != "online":
+                    # Plan sizes are exact; the gap to the least any plan could use tells more.
+                    row["bound"] = (offline_recursive.offline_lower_bound(
+                        n, spec.k, spec.outputs[0]) if spec.s == 1 else None)
+                row["ratio"] = report.queries_used / row["bound"] if row["bound"] else None
+                row["millis"] = report.wall_time_ms if include_timing else None
+                rows.append(row)
     rows.sort(key=lambda r: (r["spec"], r["n"], r["seed"], r["algorithm"]))
     return rows
 

@@ -24,7 +24,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import comb
+from math import comb, lgamma, log
 from typing import AbstractSet, Iterable, Mapping
 
 from .core import (
@@ -50,18 +50,34 @@ class DeductionError(ScaleError):
     """No admissible reading of the probe answers identifies the target."""
 
 
-def offline_lower_bound(n: int, k: int, t: int) -> int:
+def offline_lower_bound(n: int, k: int, t: int, max_digits: int = 0) -> int:
     """Least possible size of any one-shot plan: ceil(C(n, k-t+1) / C(k, k-t+1)).
 
     t is normalized to min(t, k+1-t) first; a plan missing some
     (k-t+1)-set could not split the orderings that hide it at the top.
+    A bound of more than `max_digits` decimal digits (0: no limit) is
+    refused, before any big-integer work where a float estimate proves it.
     """
     if not 1 <= t <= k <= n:
         raise PreconditionError(f"need 1 <= t <= k <= n, got t={t} k={k} n={n}")
-    tt = min(t, k + 1 - t)
-    num = comb(n, k - tt + 1)
-    den = comb(k, k - tt + 1)
-    return -(-num // den)
+    r = k - min(t, k + 1 - t) + 1
+    if max_digits and _log10_ratio_floor(n, k, r) >= max_digits:
+        value = 10 ** max_digits  # proved too long without computing it
+    else:
+        value = -(-comb(n, r) // comb(k, r))
+    if max_digits and value >= 10 ** max_digits:
+        raise ScaleError(f"the lower bound has more than {max_digits} digits, the most this"
+                         " interpreter converts to text (PYTHONINTMAXSTRDIGITS raises it)")
+    return value
+
+
+def _log10_ratio_floor(n: int, k: int, r: int) -> float:
+    """A lower bound on log10(C(n, r) / C(k, r)) for 1 <= r <= k <= n."""
+    if n < 2 ** 53:  # exact as floats; the margin is far above lgamma's rounding
+        nats = lgamma(n + 1) - lgamma(n - r + 1) - lgamma(k + 1) + lgamma(k - r + 1)
+        return (nats - 1e-13 * n * log(n + 1) - 1e-9) / log(10)
+    # Each of the r factors (n - i) / (k - i) of the ratio is at least n / k.
+    return r * (log(n) - log(k) - 1e-14 * log(n)) / log(10)
 
 
 def find_ordered_pair(results: Mapping[frozenset[int], frozenset[int]],

@@ -68,11 +68,14 @@ def corpus(tmp: Path):
     yield from (line.split() for line in REFUSALS.replace("\n", "|").split("|"))
     yield ["verify", "--exhaustive", "--max-n", "5"]
     yield ["lower-bound", "--scale", "4:2", "--n", "10"]
+    # Bounds past the printable digits: one the float estimate refuses, one the exact check.
+    yield ["lower-bound", "--scale", "10000:1", "--n", "20000"]
+    yield ["lower-bound", "--scale", "3:2", "--n", str(3 * 10**2150)]
     yield ["--timing", "bench", "--scale", "3:2", "--n-list", "8,10", "--csv", f"{tmp}/b.csv",
            "--algorithms", "online,offline_adjacency,offline_recursive"]
     yield ["bench", "--scale", "3:2", "--n-list", ""]
     yield ["bench", "--scale", "5:2,4", "--n-list", "20", "--algorithms", "offline_adjacency"]
-    for algo in cli.OFFLINE:  # a plan on stdout, then to a file that is answered and solved
+    for algo in cli.harness.OFFLINE:  # a plan on stdout, then to a file answered and solved
         yield ["plan", "--algo", algo, "--scale", "4:2", "--n", "9"]
         yield ["plan", "--algo", algo, "--scale", "4:2", "--n", "9", "--out", f"{tmp}/plan.json"]
         doc = json.loads((tmp / "plan.json").read_text())

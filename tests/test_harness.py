@@ -17,6 +17,8 @@ from scalesort.core import (
     true_partition,
 )
 from scalesort.harness import (
+    ALGORITHMS,
+    OFFLINE,
     ambiguity_class,
     algorithm_bound,
     bench_sweep,
@@ -24,6 +26,7 @@ from scalesort.harness import (
     consistent_permutations,
     online_singleton_bound,
     rows_to_csv,
+    run_algorithm,
     run_experiment,
     verify_information_maximality,
 )
@@ -157,6 +160,13 @@ class TestBounds:
         assert algorithm_bound("offline_recursive", 10, spec) == 109
         assert algorithm_bound("online", 10, spec) == online_singleton_bound(10, spec)
         assert algorithm_bound("online", 20, ScaleSpec(5, (2, 4))) is None
+        # One table lists the offline algorithms, and its plans bound their sorts exactly.
+        offline = [name for name in ALGORITHMS if name.startswith("offline_")]
+        assert [name.removeprefix("offline_") for name in offline] == list(OFFLINE)
+        for algorithm in offline:
+            oracle = Oracle(HiddenOrder.from_seed(10, 4), spec)
+            used = run_algorithm(oracle, algorithm).queries_used
+            assert algorithm_bound(algorithm, 10, spec) == used
 
 
 class TestRunExperiment:
