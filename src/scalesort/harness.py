@@ -36,18 +36,18 @@ from .core import (
 )
 from . import offline_adjacency, offline_recursive, online
 
-# Each algorithm by name, in report order.
-ALGORITHMS = {
-    "online": online.sort_online,
-    "offline_adjacency": offline_adjacency.adjacency_sort,
-    "offline_recursive": offline_recursive.recursive_sort,
+# Each offline algorithm by CLI name: its (n, spec) -> plan, its
+# (plan, answers) -> SortResult and its in-process sort of an oracle.
+OFFLINE = {
+    "adjacency": (offline_adjacency.build_adjacency_plan, offline_adjacency.solve_from_results,
+                  offline_adjacency.adjacency_sort),
+    "recursive": (offline_recursive.recursive_plan, offline_recursive.solve_from_results,
+                  offline_recursive.recursive_sort),
 }
 
-# Each offline algorithm by CLI name: its (n, spec) -> plan and (plan, answers) -> SortResult.
-OFFLINE = {
-    "adjacency": (offline_adjacency.build_adjacency_plan, offline_adjacency.solve_from_results),
-    "recursive": (offline_recursive.recursive_plan, offline_recursive.solve_from_results),
-}
+# Each algorithm by name, in report order.
+ALGORITHMS = {"online": online.sort_online,
+              **{f"offline_{name}": sort for name, (_, _, sort) in OFFLINE.items()}}
 
 # Smallest universe `scalesort verify` can certify: k + 1 for its smallest arity, k = 3.
 MIN_VERIFY_N = 4
@@ -115,7 +115,7 @@ def online_singleton_bound(n: int, spec: ScaleSpec) -> int:
 def algorithm_bound(algorithm: str, n: int, spec: ScaleSpec) -> int | None:
     if algorithm == "online":
         return online_singleton_bound(n, spec) if spec.s == 1 else None
-    build, _ = OFFLINE[algorithm.removeprefix("offline_")]
+    build, _, _ = OFFLINE[algorithm.removeprefix("offline_")]
     return build(n, spec).size
 
 
@@ -185,21 +185,26 @@ CSV_COLUMNS = ("spec", "n", "seed", "algorithm", "queries_used", "bound",
 def bench_sweep(spec: ScaleSpec, n_list: Sequence[int], trials: int,
                 algorithms: Iterable[str], base_seed: int = 0,
                 include_timing: bool = False) -> list[dict]:
-    """One row per (n, trial, algorithm), sorted for deterministic output."""
+    """One row per (n, trial, algorithm), sorted for deterministic output: the
+    CSV columns and `ok`, the report's verdict against its own bound (for an
+    offline sort its plan size, not the `bound` column)."""
     rows = []
     for n in n_list:
         for trial in range(trials):
             seed = base_seed + trial
             for algorithm in algorithms:
                 report, _ = run_experiment(spec, n, algorithm, seed=seed)
-                row = report.to_dict(include_timing)
+                bound = report.bound
                 if algorithm != "online":
                     # Plan sizes are exact; the gap to the least any plan could use tells more.
-                    row["bound"] = (offline_recursive.offline_lower_bound(
-                        n, spec.k, spec.outputs[0]) if spec.s == 1 else None)
-                row["ratio"] = report.queries_used / row["bound"] if row["bound"] else None
-                row["millis"] = report.wall_time_ms if include_timing else None
-                rows.append(row)
+                    bound = (offline_recursive.offline_lower_bound(n, spec.k, spec.outputs[0])
+                             if spec.s == 1 else None)
+                rows.append({"spec": spec.text, "n": n, "seed": seed, "algorithm": algorithm,
+                             "queries_used": report.queries_used, "bound": bound,
+                             "ratio": report.queries_used / bound if bound else None,
+                             "correct": report.correct,
+                             "millis": report.wall_time_ms if include_timing else None,
+                             "ok": report.correct and report.bound_satisfied})
     rows.sort(key=lambda r: (r["spec"], r["n"], r["seed"], r["algorithm"]))
     return rows
 

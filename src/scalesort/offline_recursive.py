@@ -21,6 +21,7 @@ recorded query that holds both, whose answered candidate is the neighbor.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -50,25 +51,25 @@ class DeductionError(ScaleError):
     """No admissible reading of the probe answers identifies the target."""
 
 
-def offline_lower_bound(n: int, k: int, t: int, max_digits: int = 0) -> int:
+def offline_lower_bound(n: int, k: int, t: int) -> int:
     """Least possible size of any one-shot plan: ceil(C(n, k-t+1) / C(k, k-t+1)).
 
     t is normalized to min(t, k+1-t) first; a plan missing some
     (k-t+1)-set could not split the orderings that hide it at the top.
-    A bound of more than `max_digits` decimal digits (0: no limit) is
-    refused, before any big-integer work where a float estimate proves it.
+    A bound with more decimal digits than the interpreter converts to text
+    (sys.get_int_max_str_digits(), 0 for no limit) is refused, before any
+    big-integer work where a float estimate already shows it too long.
     """
     if not 1 <= t <= k <= n:
         raise PreconditionError(f"need 1 <= t <= k <= n, got t={t} k={k} n={n}")
     r = k - min(t, k + 1 - t) + 1
-    if max_digits and _log10_ratio_floor(n, k, r) >= max_digits:
-        value = 10 ** max_digits  # proved too long without computing it
-    else:
+    limit = sys.get_int_max_str_digits()
+    if not limit or _log10_ratio_floor(n, k, r) < limit:
         value = -(-comb(n, r) // comb(k, r))
-    if max_digits and value >= 10 ** max_digits:
-        raise ScaleError(f"the lower bound has more than {max_digits} digits, the most this"
-                         " interpreter converts to text (PYTHONINTMAXSTRDIGITS raises it)")
-    return value
+        if not limit or value < 10 ** limit:
+            return value
+    raise ScaleError(f"the lower bound has more than {limit} digits, the most this"
+                     " interpreter converts to text (PYTHONINTMAXSTRDIGITS raises it)")
 
 
 def _log10_ratio_floor(n: int, k: int, r: int) -> float:
