@@ -29,7 +29,6 @@ from math import comb, lgamma, log
 from typing import AbstractSet, Iterable, Mapping
 
 from .core import (
-    MAX_CONSISTENCY_N,
     Fan,
     PreconditionError,
     InconsistentAnswersError,
@@ -40,11 +39,10 @@ from .core import (
     UnsupportedScaleError,
     answer_plan,
     check_universe,
-    consistent_orders,
     first_contradiction,
     rank_keys,
 )
-from . import online
+from . import offline_adjacency, online
 
 
 class DeductionError(ScaleError):
@@ -65,7 +63,11 @@ def offline_lower_bound(n: int, k: int, t: int) -> int:
     r = k - min(t, k + 1 - t) + 1
     limit = sys.get_int_max_str_digits()
     if not limit or _log10_ratio_floor(n, k, r) < limit:
-        value = -(-comb(n, r) // comb(k, r))
+        # C(n, r) / C(k, r) = C(n, d) / C(n - r, d) with d = n - k: the
+        # binomials from the smaller of r and d are the cheaper.
+        d = n - k
+        num, den = (comb(n, r), comb(k, r)) if r <= d else (comb(n, d), comb(n - r, d))
+        value = -(-num // den)
         if not limit or value < 10 ** limit:
             return value
     raise ScaleError(f"the lower bound has more than {limit} digits, the most this"
@@ -350,17 +352,12 @@ def recursive_plan(n: int, spec: ScaleSpec) -> RecursivePlan:
     The fans are those of `spec.read_side`.  A minimum instrument (t = 1)
     has no reference chain to order: its superset and closure are empty and
     its one other fan, with an empty reference, is every one of the C(n, k)
-    queries.  A superset of more than MAX_CONSISTENCY_N members is refused,
-    since its closure is ordered by enumerating every order of it.
+    queries.
     """
     if spec.s != 1:
         raise UnsupportedScaleError("the recursive plan requires a singleton instrument")
     k, t = spec.k, spec.read_side.outputs[0]
     superset = tuple(range(k + t - 2)) if t > 1 else ()
-    if len(superset) > MAX_CONSISTENCY_N:
-        raise UnsupportedScaleError(
-            f"recursive plan cannot sort {spec.text}: its superset of {len(superset)} ids"
-            f" is above MAX_CONSISTENCY_N = {MAX_CONSISTENCY_N}")
     if n <= 2 * k:
         raise PreconditionError(f"the recursive plan needs n > 2k, got n={n} k={k}")
     check_universe(n)
@@ -380,32 +377,29 @@ def order_superset(closure_results: Mapping[frozenset[int], frozenset[int]],
                    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Order the superset's middle from the closure answers.
 
-    The superset is the ids 0..m-1, as in every plan.  Every ordering of it
-    consistent with the recorded closure answers is enumerated, and what
-    they agree on is kept: the middle sequence (the chain; canonical reading
-    for a symmetric instrument), plus the sets known below and above it.
-    Members that stay unplaced (possible only when the chain has length
-    one) are returned as the free pool.
+    The superset is the ids 0..m-1, as in every plan, and spec its
+    `read_side`.  Returns the middle sequence (the chain; canonical reading
+    for a symmetric instrument), the sets known below and above it, and
+    the members left unplaced (the free pool).  With t <= 2 the closure is
+    at most the superset itself: its answer is the whole chain and every
+    other member is free.  Otherwise the closure is the exhaustive plan
+    over the superset, which the adjacency solve orders completely.
     """
     members = sorted(superset)
-    mlen = len(members)
-    # Within the superset the answerable window is ranks [t, 2t-2]: t-1 at
-    # the bottom and k-t at the top stay unplaced.
-    s_size, l_size = spec.s_size, spec.l_size
-    per_middle: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
-    for ranks in consistent_orders(closure_results.items(), mlen, spec.outputs):
-        perm = sorted(members, key=ranks.__getitem__)
-        mid = tuple(perm[s_size:mlen - l_size])
-        lo, hi = set(perm[:s_size]), set(perm[mlen - l_size:])
-        kept_lo, kept_hi = per_middle.setdefault(mid, (lo, hi))
-        kept_lo &= lo
-        kept_hi &= hi
-    if not per_middle:
-        raise InconsistentAnswersError("no superset ordering matches the closure answers")
-    chain = min(per_middle)
-    below, above = per_middle[chain]
-    free = tuple(e for e in members if e not in chain and e not in below and e not in above)
-    return chain, tuple(sorted(below)), tuple(sorted(above)), free
+    refusal = "no superset ordering matches the closure answers"
+    if spec.outputs[0] <= 2:
+        chain: tuple[int, ...] = ()
+        for q, out in closure_results.items():
+            if len(out) != 1 or not out <= q:
+                raise InconsistentAnswersError(refusal)
+            chain = tuple(out)
+        return chain, (), (), tuple(e for e in members if e not in chain)
+    try:
+        res = offline_adjacency.solve_from_results(QueryPlan.exhaustive(len(members), spec),
+                                                   closure_results)
+    except InconsistentAnswersError as exc:
+        raise InconsistentAnswersError(f"{refusal}: {exc}") from exc
+    return res.middle, tuple(sorted(res.s_set)), tuple(sorted(res.l_set)), ()
 
 
 class ReplayOracle:

@@ -25,7 +25,7 @@ MULTI = ["5:2,4", "6:2,4", "6:2,5", "7:2,6", "5:1,2", "6:2,3,5", "7:3,6"]
 REFUSALS = """sort-online --scale 10:2,9 --n 21|sort-online --scale 5:2,4 --n 10
 sort-offline --algo adjacency --scale 5:2,4 --n 12|plan --algo adjacency --scale 3:2 --n 2
 plan --algo adjacency --scale 3:1 --n 2
-plan --algo recursive --scale 4:2,3 --n 12|plan --algo recursive --scale 8:4 --n 20
+plan --algo recursive --scale 4:2,3 --n 12
 verify|verify --exhaustive --max-n 3|verify --exhaustive --max-n 10
 lower-bound --scale 4:2,3 --n 10|lower-bound --scale 4:2 --n 3
 bench --scale 3:2 --n-list 8,x|bench --scale 3:2 --n-list 8 --trials 0
@@ -68,6 +68,7 @@ def corpus(tmp: Path):
     yield from (line.split() for line in REFUSALS.replace("\n", "|").split("|"))
     yield ["verify", "--exhaustive", "--max-n", "5"]
     yield ["lower-bound", "--scale", "4:2", "--n", "10"]
+    yield ["sort-offline", "--algo", "recursive", "--scale", "8:4", "--n", "17"]
     # Bounds past the printable digits: one the float estimate refuses, one the exact check.
     yield ["lower-bound", "--scale", "10000:1", "--n", "20000"]
     yield ["lower-bound", "--scale", "3:2", "--n", str(3 * 10**2150)]

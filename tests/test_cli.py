@@ -248,15 +248,14 @@ def test_adjacency_refuses_end_block_instruments(capsys, argv):
     assert "end block of 2" in err
 
 
-def test_recursive_plan_refuses_a_superset_it_could_not_order(capsys, tmp_path):
-    # 8:4 would plan 360,405 queries whose closure of 10 ids no solve can order.
-    path = tmp_path / "plan.json"
-    code, out, err = run_cli(capsys, "plan", "--algo", "recursive", "--scale", "8:4",
-                             "--n", "18", "--out", str(path))
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: recursive plan cannot sort 8:4") and "MAX_CONSISTENCY_N" in err
-    assert not path.exists()
+def test_recursive_sort_orders_a_superset_of_ten(capsys):
+    # 8:4 plans 240,285 queries around a superset of 10 ids, more than the
+    # certifier enumerates.
+    code, out, err = run_cli(capsys, "sort-offline", "--algo", "recursive", "--scale", "8:4",
+                             "--n", "17", "--seed", "0")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["correct"] and report["queries_used"] == report["bound"] == 240285
 
 
 @pytest.mark.parametrize("n", [-1, 2, 3])
@@ -338,6 +337,19 @@ def test_lower_bound_refuses_bounds_too_long_to_print(capsys, argv):
     assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "more than 4300 digits" in err
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+def test_lower_bound_of_a_short_quotient_of_huge_binomials_is_quick(capsys):
+    # ceil(C(n, r) / C(k, r)) with r = 500,001 and n = k + 1 = 10**6 + 1:
+    # both binomials have about 300,000 digits, but C(n, 1) / C(n - r, 1)
+    # is the same quotient.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lower-bound", "--scale", "1000000:500000",
+                             "--n", "1000001")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    assert json.loads(out)["lower_bound"] == 3
 
 
 _ANSWERED = {"algo": "adjacency", "spec": "3:2", "n": 9,

@@ -72,6 +72,15 @@ class TestLowerBound:
             expected = (num + den - 1) // den
             assert offline_lower_bound(n, k, t) == expected
 
+    def test_grid_against_the_binomials_of_r(self):
+        # Both binomials from r = k - min(t, k+1-t) + 1, whichever of r and
+        # n - k is smaller.
+        for n in range(1, 40):
+            for k in range(1, n + 1):
+                for t in range(1, k + 1):
+                    r = k - min(t, k + 1 - t) + 1
+                    assert offline_lower_bound(n, k, t) == -(-comb(n, r) // comb(k, r))
+
 
 class TestFindOrderedPair:
     def test_minimum_scale_pool(self):
@@ -241,14 +250,16 @@ class TestPlanAndSort:
                 + [sorted(q) for _, q in plan.iter_fan_queries()]) == expected
         assert plan.size == len(expected) == plan_size_formula(n, k, t)
 
-    @pytest.mark.parametrize("text,n", [("8:4", 18), ("9:7", 19), ("10:2", 21)])
-    def test_superset_past_the_enumeration_cap_is_refused_before_any_query(self, text, n):
-        # k + t' - 2 > MAX_CONSISTENCY_N with t' = min(t, k+1-t): the closure
-        # could never be ordered, so the plan is refused before it is asked.
-        oracle = Oracle(HiddenOrder.identity(n), ScaleSpec.parse(text))
-        with pytest.raises(UnsupportedScaleError, match="MAX_CONSISTENCY_N"):
-            recursive_sort(oracle)
-        assert oracle.query_count == 0
+    @pytest.mark.parametrize("text", ["8:4", "8:5"])
+    def test_superset_of_ten_sorts(self, text):
+        # k + t' - 2 = 10 with t' = min(t, k+1-t) = 4: more superset orders
+        # than the certifier enumerates, ordered by the adjacency solve.
+        spec = ScaleSpec.parse(text)
+        order = HiddenOrder.from_seed(17, 0)
+        oracle = Oracle(order, spec)
+        res = recursive_sort(oracle)
+        assert res.queries_used == oracle.query_count == 240285 == plan_size_formula(17, 8, 4)
+        assert equivalent_up_to_ambiguity(res, order, spec)
 
     def test_superset_of_eight_still_sorts(self):
         spec = ScaleSpec(7, (3,))
@@ -498,7 +509,8 @@ def _order_superset_by_first_contradiction(closure, superset, spec):
 
 
 @pytest.mark.parametrize("k,t,n,seed", [(7, 3, 16, 0), (7, 3, 16, 1), (6, 3, 14, 0),
-                                        (6, 3, 14, 1), (6, 3, 14, 2)])
+                                        (6, 3, 14, 1), (6, 3, 14, 2), (4, 1, 9, 0),
+                                        (4, 2, 9, 0), (5, 3, 11, 0)])
 def test_order_superset_matches_a_per_permutation_check(k, t, n, seed):
     spec = ScaleSpec(k, (t,))
     plan = build_recursive_plan(n, k, t)
@@ -506,6 +518,49 @@ def test_order_superset_matches_a_per_permutation_check(k, t, n, seed):
     closure = {frozenset(q): oracle.query(q) for q in plan.closure_queries}
     assert (order_superset(closure, plan.superset, spec)
             == _order_superset_by_first_contradiction(closure, plan.superset, spec))
+
+
+@pytest.mark.parametrize("k,t", [(k, t) for k in range(8, 12) for t in range(2, (k + 3) // 2)
+                                 if k + t - 2 >= 10])
+def test_order_superset_orders_supersets_of_ten_or_more(k, t):
+    # Every read-side singleton with k <= 11 whose superset has 10 to 15
+    # ids, more than the certifier enumerates: the true order, read from
+    # below for an asymmetric instrument and canonically for a symmetric
+    # one.  With t = 2 the closure's one answer is all it places.
+    spec = ScaleSpec(k, (t,))
+    plan = build_recursive_plan(2 * k + 1, k, t)
+    order = HiddenOrder.from_seed(2 * k + 1, k * t)
+    oracle = Oracle(order, spec)
+    closure = {frozenset(q): oracle.query(q) for q in plan.closure_queries}
+    ranked = sorted(plan.superset, key=order.ranks.__getitem__)
+    top = len(ranked) - spec.l_size
+    low, mid, high = tuple(sorted(ranked[:t - 1])), tuple(ranked[t - 1:top]), tuple(
+        sorted(ranked[top:]))
+    if t == 2:
+        readings = [(mid, (), (), tuple(sorted(low + high)))]
+    else:
+        readings = [(mid, low, high, ())]
+    if spec.is_symmetric:
+        readings.append((mid[::-1], high, low, ()))
+    assert order_superset(closure, plan.superset, spec) == min(readings)
+
+
+@pytest.mark.parametrize("text,n", [("4:2", 9), ("5:3", 11), ("7:3", 16)])
+def test_corrupted_closure_answers_are_refused_by_the_superset_stage(text, n):
+    # One closure answer moved to another id of its query (or, with the
+    # closure of one query, outside it), for 20 seeded orders each.
+    spec = ScaleSpec.parse(text)
+    plan = recursive_plan(n, spec)
+    for seed in range(20):
+        rng = random.Random(seed)
+        oracle = Oracle(HiddenOrder.from_seed(n, seed), spec)
+        closure = {frozenset(q): oracle.query(q) for q in plan.closure_queries}
+        q = rng.choice(sorted(closure, key=sorted))
+        others = set(range(n + 1)) - q if len(closure) == 1 else q - closure[q]
+        closure[q] = frozenset({rng.choice(sorted(others))})
+        with pytest.raises(InconsistentAnswersError,
+                           match="^no superset ordering matches the closure answers"):
+            order_superset(closure, plan.superset, spec)
 
 
 @pytest.mark.parametrize("k", range(3, 8))

@@ -8,7 +8,9 @@ reach fails here.  Every private top-level function and method must be named
 somewhere in the package other than its own definition, so a helper left
 behind by a refactor fails too.  Only `ScaleSpec`'s own members call
 `.mirrored()`, so `ScaleSpec.read_side` stays the one place that decides
-whether an instrument is read as its mirror.
+whether an instrument is read as its mirror.  Only `harness` calls
+`consistent_orders`, so the n! enumeration and its cap serve the certifier
+alone.
 """
 
 import ast
@@ -69,6 +71,13 @@ def test_every_private_helper_has_a_caller_in_the_package():
     assert not unused, "private helpers nothing in the package names: " + ", ".join(unused)
 
 
+def _calls(node: ast.AST, name: str) -> list[int]:
+    """Line of each call of `name`, as a name or an attribute, under node."""
+    return [sub.lineno for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and (sub.func.id if isinstance(sub.func, ast.Name)
+                 else getattr(sub.func, "attr", None)) == name]
+
+
 def test_only_scale_spec_calls_mirrored():
     calls = []
     for path in PACKAGE:
@@ -76,7 +85,11 @@ def test_only_scale_spec_calls_mirrored():
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and node.name == "ScaleSpec":
                 continue
-            calls += [f"{path.name}:{sub.lineno}" for sub in ast.walk(node)
-                      if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
-                      and sub.func.attr == "mirrored"]
+            calls += [f"{path.name}:{line}" for line in _calls(node, "mirrored")]
     assert not calls, "mirrored() called outside ScaleSpec: " + ", ".join(calls)
+
+
+def test_only_the_harness_calls_consistent_orders():
+    calls = [f"{path.name}:{line}" for path in PACKAGE if path.name != "harness.py"
+             for line in _calls(ast.parse(path.read_text(), str(path)), "consistent_orders")]
+    assert not calls, "consistent_orders() called outside harness: " + ", ".join(calls)
