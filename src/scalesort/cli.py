@@ -36,6 +36,15 @@ def _read_json(path: str, what: str):
         raise ScaleError(f"{what} is not JSON: {exc}") from exc
 
 
+def _write_text(path: str, text: str, what: str) -> None:
+    """Write an output file; a directory or a missing parent directory is a ScaleError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ScaleError(f"cannot write {what} {path}: {exc.strerror}") from exc
+
+
 def _load_order(path: str) -> HiddenOrder:
     ranks = _read_json(path, "order file")
     if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
@@ -80,8 +89,7 @@ def _cmd_plan(args) -> int:
     doc = {"algo": args.algo, "spec": spec.text, "n": args.n, "queries": queries}
     payload = json.dumps(doc, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        _write_text(args.out, payload + "\n", "plan file")
     else:
         print(payload)
     return 0
@@ -131,7 +139,9 @@ def _load_results(path: str) -> tuple[str, ScaleSpec, int, dict[frozenset[int], 
                 or not _INT.issuperset(map(type, o_list))):
             raise ScaleError(f"results[{i}]: outcome must be {spec.s} ids of its query")
         outcome = outcomes.setdefault(outcome, outcome)
-        previous = answers.setdefault(query, outcome)
+        # The key is a copy, which sizes its table once: 472 B for five ids,
+        # against 728 for `query`, grown id by id.
+        previous = answers.setdefault(query.union(), outcome)
         if previous is not outcome:
             raise ScaleError(f"results[{i}]: query {sorted(query)} was already answered"
                              f" {sorted(previous)}, not {sorted(outcome)}")
@@ -220,8 +230,7 @@ def _cmd_bench(args) -> int:
                                include_timing=args.timing)
     csv_text = harness.rows_to_csv(rows)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(csv_text)
+        _write_text(args.csv, csv_text, "CSV file")
     else:
         sys.stdout.write(csv_text)
     return 0 if all(r["ok"] for r in rows) else 1

@@ -16,11 +16,12 @@ from its reflection.  With n > 2k, brute force over every complete answer
 set (k <= 4, n = 2k+1) finds no other ambiguity.
 
 The Oracle is single-writer: each evaluation appends its sorted query ids
-and then its sorted outcome ids to an array("i") store kept in chunks of
+and then its sorted outcome ids to a store of arrays kept in chunks of
 whole queries, k + s ids per query, and the query count is the store's
 length over k + s; so one oracle must not be shared by concurrent
-queriers.  Element ids are C ints, so `check_universe` refuses every n
-above 2**31 before anything is built by n.
+queriers.  Its ids take 1 byte for n <= 256, 2 for n <= 65,536 and a C
+int above, so `check_universe` refuses every n above 2**31 before
+anything is built by n.
 Value types (ScaleSpec, HiddenOrder, SortResult) are immutable.
 """
 
@@ -41,8 +42,8 @@ REFLECTION_AMBIGUOUS = "reflection_ambiguous"
 # Largest universe the n! consistency enumeration accepts.
 MAX_CONSISTENCY_N = 9
 
-# Ids per Oracle store chunk: 64 KiB of C ints.
-STORE_CHUNK_IDS = 1 << 14
+# Bytes per Oracle store chunk, whatever the width of its ids.
+STORE_CHUNK_BYTES = 1 << 16
 
 
 class ScaleError(ValueError):
@@ -252,17 +253,20 @@ class Transcript:
 class Oracle:
     """Simulated instrument over a hidden order.
 
-    Every evaluation is recorded in an array("i") store: the k sorted
-    query ids, then the s sorted outcome ids.  query_count is the store's
-    length over k + s, so query accounting cannot be bypassed by callers
-    that only see outcomes, and a query rejected by validation writes
-    nothing.  Repeating a query returns the same value but is counted again.
+    Every evaluation is recorded in an array store: the k sorted query
+    ids, then the s sorted outcome ids, in the narrowest array type that
+    holds n - 1: "B" up to n = 256, "H" up to 65,536, else "i".
+    query_count is the store's length over k + s, so query accounting
+    cannot be bypassed by callers that only see outcomes, and a query
+    rejected by validation writes nothing.  Repeating a query returns the
+    same value but is counted again.
 
-    The store is a list of chunks of at most STORE_CHUNK_IDS ids, whole
-    queries each, rather than one array: one array of several MiB would be
-    regrown by realloc, which copies it or not depending on the allocator's
-    history, so the peak memory of a long sort would change by MiBs from one
-    run to the next.  Chunks stay small and are never regrown once full.
+    The store is a list of chunks of at most STORE_CHUNK_BYTES bytes,
+    whole queries each, rather than one array: one array of several MiB
+    would be regrown by realloc, which copies it or not depending on the
+    allocator's history, so the peak memory of a long sort would change by
+    MiBs from one run to the next.  Chunks stay small and are never regrown
+    once full.
     """
 
     def __init__(self, order: HiddenOrder, spec: ScaleSpec):
@@ -279,12 +283,14 @@ class Oracle:
         self._rank = order.ranks.__getitem__
         self._positions = [t - 1 for t in spec.outputs]
         self._width = spec.k + spec.s
-        self._rows = max(1, STORE_CHUNK_IDS // self._width)  # queries per chunk
+        self._typecode = "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "i"
+        row_bytes = array(self._typecode).itemsize * self._width
+        self._rows = max(1, STORE_CHUNK_BYTES // row_bytes)  # queries per chunk
         self._chunks: list[array] = []
         self._next_chunk()
 
     def _next_chunk(self) -> None:
-        chunk = array("i")
+        chunk = array(self._typecode)
         self._chunks.append(chunk)
         self._record = chunk.fromlist
         self._room = self._rows

@@ -75,6 +75,9 @@ def corpus(tmp: Path):
     yield ["--timing", "bench", "--scale", "3:2", "--n-list", "8,10", "--csv", f"{tmp}/b.csv",
            "--algorithms", "online,offline_adjacency,offline_recursive"]
     yield ["bench", "--scale", "3:2", "--n-list", ""]
+    # Output paths that cannot be written: a directory and a missing parent.
+    yield ["plan", "--algo", "adjacency", "--scale", "3:2", "--n", "8", "--out", str(tmp)]
+    yield ["bench", "--scale", "3:2", "--n-list", "8", "--csv", f"{tmp}/missing/b.csv"]
     yield ["bench", "--scale", "5:2,4", "--n-list", "20", "--algorithms", "offline_adjacency"]
     for algo in cli.harness.OFFLINE:  # a plan on stdout, then to a file answered and solved
         yield ["plan", "--algo", algo, "--scale", "4:2", "--n", "9"]

@@ -470,6 +470,8 @@ def test_results_loader_peaks_near_the_parse_and_shares_outcomes(tmp_path, capsy
 
     in_process = answer_plan(Oracle(order, spec), recursive_plan(n, spec))
     assert in_process == answers
+    # Loaded keys are sized like the plan's own: 472 B for five ids, not 728.
+    assert {sys.getsizeof(q) for q in answers} == {sys.getsizeof(q) for q in in_process}
     for got in (answers, in_process):
         assert len({id(o) for o in got.values()}) == len(set(got.values())) <= n
 
@@ -497,6 +499,20 @@ def test_bench_csv(tmp_path, capsys):
     assert lines[0] == "spec,n,seed,algorithm,queries_used,bound,ratio,correct,millis"
     assert len(lines) == 1 + 2 * 2 * 2
     assert all(line.endswith(",") for line in lines[1:])  # millis empty by default
+
+
+@pytest.mark.parametrize("argv,what", [
+    (("plan", "--algo", "adjacency", "--scale", "3:2", "--n", "8", "--out"), "plan file"),
+    (("bench", "--scale", "3:2", "--n-list", "8", "--csv"), "CSV file"),
+])
+@pytest.mark.parametrize("target,reason", [("", "Is a directory"),
+                                           ("missing/out", "No such file or directory")])
+def test_unwritable_output_is_a_clean_error(tmp_path, capsys, argv, what, target, reason):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {what} {path}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_bench_csv_with_timing(capsys):

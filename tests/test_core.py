@@ -229,13 +229,13 @@ class TestTranscript:
         assert oracle.transcript == self.PAIRS + [((3, 4, 5, 6, 7), (4, 6))]
 
     def test_store_chunks_hold_whole_queries(self, monkeypatch):
-        # A 5:2,4 query takes 7 ids, so chunks of 14 or of 20 ids hold two
-        # queries each, never a part of one: 7 queries fill three chunks and
-        # start a fourth.
-        for chunk_ids in (14, 20):
-            monkeypatch.setattr(core, "STORE_CHUNK_IDS", chunk_ids)
+        # A 5:2,4 query takes 7 one-byte ids at n = 8, so chunks of 14 or of
+        # 20 bytes hold two queries each, never a part of one: 7 queries
+        # fill three chunks and start a fourth.
+        for chunk_bytes in (14, 20):
+            monkeypatch.setattr(core, "STORE_CHUNK_BYTES", chunk_bytes)
             oracle = Oracle(HiddenOrder.identity(8), ScaleSpec(5, (2, 4)))
-            rng = random.Random(chunk_ids)
+            rng = random.Random(chunk_bytes)
             expected = []
             for _ in range(7):
                 query = rng.sample(range(8), 5)
@@ -250,12 +250,36 @@ class TestTranscript:
             oracle.query([3, 4, 5, 6, 7])
             assert view == expected and len(view) == 7
 
+    @pytest.mark.parametrize("n,itemsize", [(256, 1), (257, 2), (65536, 2), (65537, 4)])
+    def test_store_width_follows_n(self, n, itemsize):
+        # Ids are stored in the narrowest array type that holds n - 1, and
+        # each chunk holds as many whole queries as fit in 64 KiB.
+        spec = ScaleSpec(5, (2, 4))
+        oracle = Oracle(HiddenOrder.identity(n), spec)
+        rows = core.STORE_CHUNK_BYTES // (itemsize * 7)
+        top = list(range(n - 5, n))
+        for i in range(rows):
+            oracle.query([i % (n - 5)] + top[1:])
+        oracle.query(top)
+        with pytest.raises(TypeError):
+            oracle.query(top[:4] + [0.5])
+        first, second = oracle._chunks
+        assert first.itemsize == second.itemsize == itemsize
+        assert len(first) == 7 * rows and len(second) == 7
+        assert core.STORE_CHUNK_BYTES - 7 * itemsize < len(first) * itemsize <= (
+            core.STORE_CHUNK_BYTES)
+        view = oracle.transcript
+        assert oracle.query_count == len(view) == rows + 1
+        entries = list(view)
+        assert entries[0] == ((0, n - 4, n - 3, n - 2, n - 1), (n - 4, n - 2))
+        assert entries[-1] == (tuple(top), (n - 4, n - 2))
+
     def test_retained_memory_per_query(self):
-        # One 4:2 online sort keeps (k + s) * 4 = 20 bytes per query in the
-        # store, plus its growth slack; a list of (tuple, tuple) pairs kept
-        # about 184.
+        # One 4:2 online sort at n = 10**4 keeps 2 * (k + s) = 10 bytes per
+        # query in its 2-byte store, plus at most one chunk of growth slack;
+        # 4-byte ids kept 20, and a list of (tuple, tuple) pairs about 184.
         from scalesort.online import sort_online
-        order = HiddenOrder.from_seed(2000, 1)
+        order = HiddenOrder.from_seed(10_000, 1)
         gc.collect()
         tracemalloc.start()
         try:
@@ -266,8 +290,8 @@ class TestTranscript:
             tracemalloc.stop()
         mine = snapshot.filter_traces([tracemalloc.Filter(True, core.__file__)])
         retained = sum(stat.size for stat in mine.statistics("filename"))
-        assert oracle.query_count > 10_000
-        assert retained / oracle.query_count < 40
+        assert oracle.query_count > 90_000
+        assert retained <= 2 * 5 * oracle.query_count + core.STORE_CHUNK_BYTES
 
 
 # The specs whose online transcripts tests/test_online.py pins.

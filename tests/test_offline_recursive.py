@@ -182,6 +182,40 @@ class TestDeduceQuery:
                            match="deduction requires singleton answers"):
             deduce_query(kb, {1, 3, 6})
 
+    # Pair tie-breaks from partial answers.  Substitutes all above the
+    # query give a k = 2t instrument its two-candidate signature: the
+    # target (query rank t) and its upper neighbour (rank t + 1).
+    def test_tiebreak_needs_a_pool_on_the_certified_side(self):
+        # One substitute above 4:2's {0, 1, 2, 4} leaves {1, 2}; a pair
+        # query needs k - t = 2 pool members above them, and there is one.
+        spec = ScaleSpec(4, (2,))
+        kb = _knowledge_base_for(spec, HiddenOrder.identity(7), (3,))
+        kb.known.pop(frozenset({0, 1, 2, 4}))
+        with pytest.raises(DeductionError):
+            deduce_query(kb, {0, 1, 2, 4})
+
+    def test_tiebreak_skips_a_pair_query_without_an_answer(self):
+        # 6:3 on {0, ..., 5} with substitutes 6 < 7 < 8 leaves {2, 3}; the
+        # pair queries {2, 3, 6, 7, 8} plus one filler come in filler order.
+        # The filler-0 query has no answer, so the filler-1 one settles it:
+        # it answers 3, the neighbour, so the target is 2.
+        spec = ScaleSpec(6, (3,))
+        kb = _knowledge_base_for(spec, HiddenOrder.identity(9), (6, 7, 8))
+        for q in ({0, 1, 2, 3, 4, 5}, {0, 2, 3, 6, 7, 8}):
+            kb.known.pop(frozenset(q))
+        assert deduce_query(kb, {0, 1, 2, 3, 4, 5}) == {2}
+
+    def test_tiebreak_without_a_pair_query_naming_a_candidate(self):
+        # As above without the filler-0 and filler-1 answers: fillers 4 and
+        # 5 sit above the pair, so their queries answer the filler itself.
+        spec = ScaleSpec(6, (3,))
+        kb = _knowledge_base_for(spec, HiddenOrder.identity(9), (6, 7, 8))
+        for q in ({0, 1, 2, 3, 4, 5}, {0, 2, 3, 6, 7, 8}, {1, 2, 3, 6, 7, 8}):
+            kb.known.pop(frozenset(q))
+        assert kb.known[frozenset({2, 3, 4, 6, 7, 8})] == {4}
+        with pytest.raises(DeductionError):
+            deduce_query(kb, {0, 1, 2, 3, 4, 5})
+
     def test_minimum_scale_rejected(self):
         spec = ScaleSpec(3, (1,))
         kb = _knowledge_base_for(spec, HiddenOrder.identity(7), (3,))
