@@ -17,7 +17,10 @@ correctness or bound violation.  Pass --timing to include wall-clock times
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 
 from .core import (MAX_CONSISTENCY_N, HiddenOrder, PreconditionError, ScaleError, ScaleSpec,
@@ -41,6 +44,18 @@ def _write_text(path: str, text: str, what: str) -> None:
     try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ScaleError(f"cannot write {what} {path}: {exc.strerror}") from exc
+
+
+def _check_output(path: str, what: str) -> None:
+    """Refuse, before any work, an output path that is a directory or whose
+    parent is not one, with the message `_write_text` would give after it."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
     except OSError as exc:
         raise ScaleError(f"cannot write {what} {path}: {exc.strerror}") from exc
 
@@ -80,6 +95,8 @@ def _cmd_sort(args) -> int:
 def _cmd_plan(args) -> int:
     spec = ScaleSpec.parse(args.scale)
     build, _, _ = harness.OFFLINE[args.algo]
+    if args.out:
+        _check_output(args.out, "plan file")
     # The queries of QueryPlan.queries, in its order, each sorted from its
     # reference and free ids without building a set.
     queries = []
@@ -225,6 +242,10 @@ def _cmd_bench(args) -> int:
     if args.trials < 1:
         raise ScaleError(f"--trials must be at least 1, got {args.trials}")
     algorithms = args.algorithms.split(",") if args.algorithms else ["online"]
+    for algorithm in algorithms:
+        harness.check_algorithm(algorithm)
+    if args.csv:
+        _check_output(args.csv, "CSV file")
     rows = harness.bench_sweep(spec, n_list, args.trials, algorithms,
                                base_seed=args.seed,
                                include_timing=args.timing)

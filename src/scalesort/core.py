@@ -31,9 +31,10 @@ import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, islice, permutations
 from math import comb
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Collection, Iterable, Iterator
 
 RESOLVED = "resolved"
@@ -261,6 +262,13 @@ class Oracle:
     rejected by validation writes nothing.  Repeating a query returns the
     same value but is counted again.
 
+    An evaluation sorts the ids twice, by label and then by rank, and picks
+    the outcome with one C call, an itemgetter of the output positions (a
+    one-item slice for a singleton, so the pick is always a sequence).  The
+    rank key is partial(getitem, ranks): it keys a sort faster than the
+    method-wrapper ranks.__getitem__ and, unlike a list of the ranks,
+    keeps no per-oracle copy.
+
     The store is a list of chunks of at most STORE_CHUNK_BYTES bytes,
     whole queries each, rather than one array: one array of several MiB
     would be regrown by realloc, which copies it or not depending on the
@@ -280,8 +288,10 @@ class Oracle:
         self._n = n
         self._k = spec.k
         self._spec = spec
-        self._rank = order.ranks.__getitem__
-        self._positions = [t - 1 for t in spec.outputs]
+        self._rank = partial(getitem, order.ranks)
+        t1 = spec.outputs[0]
+        self._pick = (itemgetter(*(t - 1 for t in spec.outputs)) if spec.s > 1
+                      else itemgetter(slice(t1 - 1, t1)))
         self._width = spec.k + spec.s
         self._typecode = "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "i"
         row_bytes = array(self._typecode).itemsize * self._width
@@ -329,14 +339,12 @@ class Oracle:
         record = self._record
         record(ids)
         ids.sort(key=self._rank)
-        out = list(map(ids.__getitem__, self._positions))
-        answer = frozenset(out)
-        out.sort()
-        record(out)
+        out = self._pick(ids)
+        record(sorted(out))
         self._room -= 1
         if not self._room:
             self._next_chunk()
-        return answer
+        return frozenset(out)
 
 
 @dataclass(frozen=True)

@@ -150,9 +150,13 @@ class ExperimentReport:
         return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
 
 
-def run_algorithm(oracle: Oracle, algorithm: str) -> SortResult:
+def check_algorithm(algorithm: str) -> None:
     if algorithm not in ALGORITHMS:
         raise PreconditionError(f"unknown algorithm {algorithm!r}")
+
+
+def run_algorithm(oracle: Oracle, algorithm: str) -> SortResult:
+    check_algorithm(algorithm)
     return ALGORITHMS[algorithm](oracle)
 
 

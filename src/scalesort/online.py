@@ -70,26 +70,30 @@ def _lowest_k_sweep(oracle, k: int, pool: Iterable[int], universe: Iterable[int]
     holds the whole pool, which is above its target, so it has at most s - 1
     fillers when eliminating (target k - s) and more than s members when
     keeping (target j = s).  Invariant: the pool is `head` plus
-    `pending[nxt:]`; `head` holds the survivors of the previous query, the
-    lowest-labeled members left, and `pending[nxt:]` the untouched tail, so
-    the pool is sorted only once.
+    `pending[nxt:]`; the set `head` holds the survivors of the previous
+    query, the lowest-labeled members left, and `pending[nxt:]` the
+    untouched tail, so the pool is sorted only once.  The oracle sorts each
+    query, so `head` is asked as it is.
     """
     pending = sorted(pool)
-    head = pending[:k]
+    head = set(pending[:k])
     nxt = len(head)
-    while len(head) + len(pending) - nxt > target:
+    stop = len(pending) - target  # the pool is above its target while nxt - len(head) < stop
+    survivors = set.intersection if keep_answered else set.difference
+    query = oracle.query
+    while nxt - len(head) < stop:
         q = head
         if len(head) < k:
-            q = head + sorted(set(universe) - set(head))[:k - len(head)]
-        out = oracle.query(q)
-        kept = [e for e in head if (e in out) == keep_answered]
+            q = sorted(head) + sorted(set(universe) - head)[:k - len(head)]
+        kept = survivors(head, query(q))
         if len(kept) == len(head):
-            raise InconsistentAnswersError(
-                f"query {q} of k pool members left the pool unchanged")
+            shown = sorted(q) if q is head else q  # the sorted pool, then any fillers
+            raise InconsistentAnswersError(f"query {shown} of k pool members left the pool unchanged")
         top_up = pending[nxt:nxt + k - len(kept)]
-        head = kept + top_up
+        kept.update(top_up)
+        head = kept
         nxt += len(top_up)
-    return set(head).union(pending[nxt:])
+    return head.union(pending[nxt:])
 
 
 def _refine(oracle, spec: ScaleSpec, universe: list[int], candidates: set[int]) -> set[int]:
@@ -169,66 +173,84 @@ def _first_pass(oracle, spec: ScaleSpec, universe: list[int],
 
 
 def _ordered_by_extraction(items: list[int], branching: int, find_min):
-    """Yield `items` from smallest to largest through a `branching`-ary block hierarchy.
+    """Yield `items`, distinct ids, from smallest to largest through a
+    `branching`-ary block hierarchy.
 
-    Row 0 caches the minimum of each block of at most `branching` items;
-    each higher row caches the minimum of `branching` consecutive entries of
-    the row below, up to a single top entry.  A group with at most one live
-    value resolves without a query.  After each extraction only the chain of
-    the minimum just taken is re-evaluated; every other cached minimum stays
-    valid.  Emptied entries hold None; only a group holding one is filtered.
+    Level 0 is the items in blocks of at most `branching`; each higher level
+    groups the minima of `branching` consecutive groups of the level below,
+    up to a single top group, and a root above it holds the top minimum.  A
+    group with at most one live value resolves without a query.  After each
+    extraction only the chain of the minimum just taken is re-evaluated: its
+    block is read again without it, and in each group above, the new minimum
+    of the group below takes the place of the one taken, or the taken one
+    just leaves when that group is empty.  Every other cached minimum stays
+    valid.  The blocks are slots of one list, a taken item's slot holding
+    None, so that level 0 keeps no list per block.
     """
     if branching < 2:
         raise PreconditionError(f"extraction needs branching >= 2, got {branching}")
-
-    def resolve(group):
-        if None in group:
-            group = [v for v in group if v is not None]
-        if len(group) > 1:
-            return find_min(group)
-        return group[0] if group else None
-
-    blocks = [items[i:i + branching] for i in range(0, len(items), branching)]
-    home = {e: i for i, block in enumerate(blocks) for e in block}
-    rows = [[resolve(block) for block in blocks]]
-    while len(rows[-1]) > 1:
-        below = rows[-1]
-        rows.append([resolve(below[i:i + branching]) for i in range(0, len(below), branching)])
+    if not items:
+        return
+    live = list(items)
+    slot = [0] * (max(items) + 1)  # slot[e]: the index of id e in live; a quarter of a dict
+    for i, e in enumerate(items):
+        slot[e] = i
+    groups = [live[i:i + branching] for i in range(0, len(live), branching)]
+    levels = []  # the groups of each level above 0, the last one the root
+    while True:
+        minima = [find_min(group) if len(group) > 1 else group[0] for group in groups]
+        groups = [minima[i:i + branching] for i in range(0, len(minima), branching)]
+        levels.append(groups)
+        if len(minima) == 1:
+            break
+    (low,) = minima
     for _ in items:
-        value = rows[-1][0]
-        idx = home[value]
-        group = blocks[idx]
-        group.remove(value)
-        for row in rows:
-            row[idx] = resolve(group)
+        value = low
+        idx = slot[value]
+        live[idx] = None
+        idx //= branching
+        lo = idx * branching
+        group = [v for v in live[lo:lo + branching] if v is not None]
+        for groups in levels:
+            if len(group) > 1:
+                low = find_min(group)
+            else:
+                low = group[0] if group else None
             idx //= branching
-            lo = idx * branching
-            group = row[lo:lo + branching]
+            group = groups[idx]
+            if low is None:
+                group.remove(value)
+            else:
+                group[group.index(value)] = low
         yield value
 
 
 def _min_finder(oracle, prefix: list[int], pad_pool: list[int], branching: int):
     """Query closure returning the minimum of a block of at most `branching` elements.
 
-    Each query is prefix + block + pads; the prefix occupies the bottom of
+    Each query is block + prefix + pads; the prefix occupies the bottom of
     the instrument and the pads are known larger than any block element, so
     exactly one answered element lies outside the prefix: the block minimum.
+    The oracle sorts a query's ids, so the prefix-plus-pads tail of each
+    block size is built once.
     """
-    fill = list(prefix)
-    fill_set = frozenset(fill)
+    fill_set = frozenset(prefix)
     pads = sorted(pad_pool)
+    # tails[size] completes a block of `size`; None where the pads run short.
+    tails = [prefix + pads[:branching - size] if branching - size <= len(pads) else None
+             for size in range(branching + 1)]
     query = oracle.query
 
     def find_min(block: list[int]) -> int:
-        need = branching - len(block)
-        if need > len(pads):
+        tail = tails[len(block)]
+        if tail is None:
             raise PreconditionError("pad pool exhausted while sizing a query")
-        out = query(fill + block + pads[:need]) if need else query(fill + block)
-        extra = out - fill_set
-        if len(extra) != 1 or extra.isdisjoint(block):
-            raise InconsistentAnswersError("reduced instrument did not isolate one block element")
-        (value,) = extra
-        return value
+        extra = query(block + tail) - fill_set
+        if len(extra) == 1:
+            (value,) = extra
+            if value in block:
+                return value
+        raise InconsistentAnswersError("reduced instrument did not isolate one block element")
 
     return find_min
 

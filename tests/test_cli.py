@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from scalesort import online
+from scalesort import harness, online
 from scalesort.cli import _load_results, main
 from scalesort.core import HiddenOrder, InconsistentAnswersError, Oracle, ScaleSpec, answer_plan
 from scalesort.offline_adjacency import adjacency_sort
@@ -513,6 +513,45 @@ def test_unwritable_output_is_a_clean_error(tmp_path, capsys, argv, what, target
     assert code == 2 and out == ""
     assert err == f"error: cannot write {what} {path}: {reason}\n"
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    ("bench --scale 4:2 --n-list 50 --algorithms online,bogus", "unknown algorithm 'bogus'"),
+    ("bench --scale 4:2 --n-list 50 --csv {tmp}", "cannot write CSV file {tmp}: Is a directory"),
+    ("bench --scale 4:2 --n-list 50 --csv {tmp}/missing/x.csv",
+     "cannot write CSV file {tmp}/missing/x.csv: No such file or directory"),
+    ("bench --scale 4:2 --n-list 50 --csv {tmp}/file/x.csv",
+     "cannot write CSV file {tmp}/file/x.csv: Not a directory"),
+    ("plan --algo adjacency --scale 4:2 --n 50 --out {tmp}",
+     "cannot write plan file {tmp}: Is a directory"),
+    ("plan --algo recursive --scale 4:2 --n 50 --out {tmp}/missing/x.json",
+     "cannot write plan file {tmp}/missing/x.json: No such file or directory"),
+], ids=["unknown-algorithm", "csv-directory", "csv-missing-parent", "csv-file-parent",
+        "plan-directory", "plan-missing-parent"])
+def test_bad_bench_and_plan_arguments_are_refused_before_the_work(tmp_path, capsys, monkeypatch,
+                                                                   argv, error):
+    # Neither a sort nor a plan build may start before the refusal.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before the refusal")
+
+    monkeypatch.setattr(harness, "run_experiment", no_work)
+    for name, (_, solve, sort) in list(harness.OFFLINE.items()):
+        monkeypatch.setitem(harness.OFFLINE, name, (no_work, solve, sort))
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+    assert code == 2 and out == ""
+    assert err == f"error: {error.format(tmp=tmp_path)}\n"
+
+
+def test_a_bench_that_fails_late_keeps_the_csv_file(tmp_path, capsys):
+    # The CSV is written after the sweep, so a sweep refused at its second
+    # size leaves an existing file as it was.
+    path = tmp_path / "old.csv"
+    path.write_text("kept\n")
+    code, out, err = run_cli(capsys, "bench", "--scale", "4:2", "--n-list", "12,3",
+                             "--csv", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert path.read_text() == "kept\n"
 
 
 def test_bench_csv_with_timing(capsys):

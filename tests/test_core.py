@@ -294,12 +294,10 @@ class TestTranscript:
         assert retained <= 2 * 5 * oracle.query_count + core.STORE_CHUNK_BYTES
 
 
-# The specs whose online transcripts tests/test_online.py pins.
-@pytest.mark.parametrize("spec_text", ["4:2", "4:3", "7:2,6", "5:1,2", "4:3,4", "6:2,5"])
-def test_query_matches_outcome_of(spec_text):
-    """Seeded differential check: Oracle.query against the bare outcome_of."""
+def _check_query_against_outcome_of(spec_text: str, n: int) -> Oracle:
+    """400 seeded queries: each outcome is outcome_of's, and the transcript
+    holds each query and outcome as sorted tuples."""
     spec = ScaleSpec.parse(spec_text)
-    n = 3 * spec.k
     order = HiddenOrder.from_seed(n, 11)
     oracle = Oracle(order, spec)
     rng = random.Random(spec_text)
@@ -311,6 +309,22 @@ def test_query_matches_outcome_of(spec_text):
         expected.append((tuple(sorted(query)), tuple(sorted(outcome))))
     assert oracle.transcript == expected
     assert oracle.query_count == len(expected)
+    return oracle
+
+
+# The specs whose online transcripts tests/test_online.py pins.
+@pytest.mark.parametrize("spec_text", ["4:2", "4:3", "7:2,6", "5:1,2", "4:3,4", "6:2,5"])
+def test_query_matches_outcome_of(spec_text):
+    """Seeded differential check: Oracle.query against the bare outcome_of."""
+    _check_query_against_outcome_of(spec_text, 3 * ScaleSpec.parse(spec_text).k)
+
+
+@pytest.mark.parametrize("n,itemsize", [(300, 2), (70_000, 4)])
+@pytest.mark.parametrize("spec_text", ["4:3", "7:2,6"])
+def test_query_matches_outcome_of_at_every_id_width(spec_text, n, itemsize):
+    """The same check on the 2-byte and the 4-byte store (n = 3k has 1-byte ids)."""
+    oracle = _check_query_against_outcome_of(spec_text, n)
+    assert oracle._chunks[0].itemsize == itemsize
 
 
 @settings(max_examples=40, deadline=None)

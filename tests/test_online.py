@@ -454,3 +454,57 @@ def test_multi_equivalence_on_random_instruments(k, seed, data):
     oracle = Oracle(order, spec)
     res = sort_online(oracle)
     assert equivalent_up_to_ambiguity(res, order, spec)
+
+
+def _reference_extraction(items, branching, find_min):
+    """Reference for `_ordered_by_extraction`: the same hierarchy kept as flat
+    rows of cached minima, emptied entries holding None, and a helper that
+    filters and settles each group."""
+
+    def resolve(group):
+        if None in group:
+            group = [v for v in group if v is not None]
+        if len(group) > 1:
+            return find_min(group)
+        return group[0] if group else None
+
+    blocks = [items[i:i + branching] for i in range(0, len(items), branching)]
+    home = {e: i for i, block in enumerate(blocks) for e in block}
+    rows = [[resolve(block) for block in blocks]]
+    while len(rows[-1]) > 1:
+        below = rows[-1]
+        rows.append([resolve(below[i:i + branching]) for i in range(0, len(below), branching)])
+    for _ in items:
+        value = rows[-1][0]
+        idx = home[value]
+        group = blocks[idx]
+        group.remove(value)
+        for row in rows:
+            row[idx] = resolve(group)
+            idx //= branching
+            lo = idx * branching
+            group = row[lo:lo + branching]
+        yield value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 80).flatmap(
+    lambda size: st.tuples(st.permutations(range(size)), st.permutations(range(size)))))
+def test_extraction_asks_what_the_reference_asks(branching, labels_and_ranks):
+    # Same yields and the same find_min groups, as sets, in the same order
+    # relative to each other and to the yields.
+    items, ranks = labels_and_ranks
+    logs = []
+    for extract in (_reference_extraction, _ordered_by_extraction):
+        log = []
+
+        def find_min(group):
+            log.append(frozenset(group))
+            assert len(log[-1]) == len(group) >= 2
+            return min(group, key=ranks.__getitem__)
+
+        for value in extract(list(items), branching, find_min):
+            log.append(value)
+        logs.append(log)
+    assert logs[0] == logs[1]
+    assert [v for v in logs[1] if type(v) is int] == sorted(items, key=ranks.__getitem__)

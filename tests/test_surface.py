@@ -10,7 +10,9 @@ behind by a refactor fails too.  Only `ScaleSpec`'s own members call
 `.mirrored()`, so `ScaleSpec.read_side` stays the one place that decides
 whether an instrument is read as its mirror.  Only `harness` calls
 `consistent_orders`, so the n! enumeration and its cap serve the certifier
-alone.
+alone.  No module imports `gc`: the benchmark rescales its timings by a
+reference loop whose speed the collector moves, so a collector change
+cannot be measured until that loop allocates nothing (ROADMAP item 1).
 """
 
 import ast
@@ -93,3 +95,12 @@ def test_only_the_harness_calls_consistent_orders():
     calls = [f"{path.name}:{line}" for path in PACKAGE if path.name != "harness.py"
              for line in _calls(ast.parse(path.read_text(), str(path)), "consistent_orders")]
     assert not calls, "consistent_orders() called outside harness: " + ", ".join(calls)
+
+
+def test_the_package_does_not_import_gc():
+    imports = [f"{path.name}:{node.lineno}" for path in PACKAGE
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Import) and any(
+                   alias.name.split(".")[0] == "gc" for alias in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "gc"]
+    assert not imports, "gc imported: " + ", ".join(imports)
