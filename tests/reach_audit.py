@@ -75,10 +75,12 @@ def corpus(tmp: Path):
     yield ["--timing", "bench", "--scale", "3:2", "--n-list", "8,10", "--csv", f"{tmp}/b.csv",
            "--algorithms", "online,offline_adjacency,offline_recursive"]
     yield ["bench", "--scale", "3:2", "--n-list", ""]
-    # Output paths that cannot be written: a directory, a missing parent and a file as parent.
+    # Output paths that cannot be written: a directory, a missing parent and a
+    # file as parent, refused before the work, and a name too long, refused by the write.
     yield ["plan", "--algo", "adjacency", "--scale", "3:2", "--n", "8", "--out", str(tmp)]
     yield ["bench", "--scale", "3:2", "--n-list", "8", "--csv", f"{tmp}/missing/b.csv"]
     yield ["bench", "--scale", "3:2", "--n-list", "8", "--csv", f"{tmp}/good.json/b.csv"]
+    yield ["bench", "--scale", "3:2", "--n-list", "8", "--csv", f"{tmp}/{'x' * 300}.csv"]
     yield ["bench", "--scale", "5:2,4", "--n-list", "20", "--algorithms", "offline_adjacency"]
     for algo in cli.harness.OFFLINE:  # a plan on stdout, then to a file answered and solved
         yield ["plan", "--algo", algo, "--scale", "4:2", "--n", "9"]

@@ -488,7 +488,7 @@ def _reference_extraction(items, branching, find_min):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 6), st.integers(1, 80).flatmap(
+@given(st.integers(2, 6), st.integers(0, 80).flatmap(
     lambda size: st.tuples(st.permutations(range(size)), st.permutations(range(size)))))
 def test_extraction_asks_what_the_reference_asks(branching, labels_and_ranks):
     # Same yields and the same find_min groups, as sets, in the same order
