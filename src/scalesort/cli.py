@@ -23,8 +23,7 @@ import os
 import stat
 import sys
 
-from .core import (MAX_CONSISTENCY_N, HiddenOrder, PreconditionError, ScaleError, ScaleSpec,
-                   UnsupportedScaleError)
+from .core import HiddenOrder, PreconditionError, ScaleError, ScaleSpec, UnsupportedScaleError
 from . import harness, offline_recursive
 
 
@@ -190,8 +189,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     if not args.exhaustive:
         raise ScaleError("nothing to do: pass --exhaustive")
-    if args.max_n > MAX_CONSISTENCY_N:
-        raise ScaleError(f"--max-n {args.max_n} is above {MAX_CONSISTENCY_N}, the"
+    if args.max_n > harness.MAX_CONSISTENCY_N:
+        raise ScaleError(f"--max-n {args.max_n} is above {harness.MAX_CONSISTENCY_N}, the"
                          " largest n the brute-force certifier enumerates")
     if args.max_n < harness.MIN_VERIFY_N:
         raise ScaleError(f"--max-n {args.max_n} is below {harness.MIN_VERIFY_N}, the"

@@ -32,16 +32,13 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations, islice
 from math import comb
 from operator import getitem, itemgetter
 from typing import Collection, Iterable, Iterator
 
 RESOLVED = "resolved"
 REFLECTION_AMBIGUOUS = "reflection_ambiguous"
-
-# Largest universe the n! consistency enumeration accepts.
-MAX_CONSISTENCY_N = 9
 
 # Bytes per Oracle store chunk, whatever the width of its ids.
 STORE_CHUNK_BYTES = 1 << 16
@@ -220,8 +217,8 @@ class Transcript:
     """Read-only (query, outcome) pairs of sorted id tuples over an oracle's store.
 
     A snapshot: it covers the queries recorded when it was taken, and later
-    queries do not change it.  It has a length, iterates and compares equal
-    like the list of pairs it stands for, and has that list's repr.
+    queries do not change it.  It has a length and iterates like the list
+    of pairs it stands for.
     """
 
     __slots__ = ("_chunks", "_k", "_width", "_len")
@@ -241,14 +238,6 @@ class Transcript:
         ids = islice(chain.from_iterable(self._chunks), self._len * self._width)
         for row in zip(*[ids] * self._width):
             yield row[:k], row[k:]
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, Transcript)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 class Oracle:
@@ -475,25 +464,6 @@ def first_contradiction(entries: Iterable[tuple[Collection[int], tuple[int, ...]
     except (KeyError, IndexError):
         return q, o
     return None
-
-
-def consistent_orders(entries: Collection[tuple[Collection[int], frozenset[int]]], n: int,
-                      outputs: Sequence[int]) -> list[tuple[int, ...]]:
-    """Every rank array of range(n), in lexicographic order, under which each
-    (query, outcome) entry holds (n <= MAX_CONSISTENCY_N)."""
-    if n > MAX_CONSISTENCY_N:
-        raise PreconditionError(
-            f"consistency enumeration is limited to n <= {MAX_CONSISTENCY_N}")
-    consistent: list[tuple[int, ...]] = []
-    for perm in permutations(range(1, n + 1)):
-        ok = True
-        for q, out in entries:
-            if outcome_of(perm, outputs, q) != out:
-                ok = False
-                break
-        if ok:
-            consistent.append(perm)
-    return consistent
 
 
 def true_partition(truth: HiddenOrder, spec: ScaleSpec) -> tuple[frozenset[int], tuple[int, ...], frozenset[int]]:

@@ -31,8 +31,8 @@ from .core import (
     PreconditionError,
     ScaleSpec,
     SortResult,
-    consistent_orders,
     equivalent_up_to_ambiguity,
+    outcome_of,
 )
 from . import offline_adjacency, offline_recursive, online
 
@@ -52,6 +52,9 @@ ALGORITHMS = {"online": online.sort_online,
 # Smallest universe `scalesort verify` can certify: k + 1 for its smallest arity, k = 3.
 MIN_VERIFY_N = 4
 
+# Largest universe the n! consistency enumeration accepts.
+MAX_CONSISTENCY_N = 9
+
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -60,10 +63,24 @@ class ConsistencyReport:
 
 def consistent_permutations(transcript: Iterable[tuple[Sequence[int], Sequence[int]]],
                             n: int, spec: ScaleSpec) -> ConsistencyReport:
-    """Enumerate all n! hidden orders consistent with a transcript (n <= MAX_CONSISTENCY_N)."""
+    """Every hidden order, in lexicographic order of its rank array, consistent
+    with a transcript: all n! are checked, so n <= MAX_CONSISTENCY_N."""
+    if n > MAX_CONSISTENCY_N:
+        raise PreconditionError(
+            f"consistency enumeration is limited to n <= {MAX_CONSISTENCY_N}")
     entries = [(tuple(q), frozenset(o)) for q, o in
                dict.fromkeys((tuple(q), tuple(o)) for q, o in transcript)]
-    return ConsistencyReport(tuple(consistent_orders(entries, n, spec.outputs)))
+    outputs = spec.outputs
+    consistent: list[tuple[int, ...]] = []
+    for perm in itertools.permutations(range(1, n + 1)):
+        ok = True
+        for q, out in entries:
+            if outcome_of(perm, outputs, q) != out:
+                ok = False
+                break
+        if ok:
+            consistent.append(perm)
+    return ConsistencyReport(tuple(consistent))
 
 
 def ambiguity_class(truth: HiddenOrder, spec: ScaleSpec) -> set[tuple[int, ...]]:
@@ -192,6 +209,7 @@ def bench_sweep(spec: ScaleSpec, n_list: Sequence[int], trials: int,
     """One row per (n, trial, algorithm), sorted for deterministic output: the
     CSV columns and `ok`, the report's verdict against its own bound (for an
     offline sort its plan size, not the `bound` column)."""
+    algorithms = list(algorithms)
     rows = []
     for n in n_list:
         for trial in range(trials):

@@ -581,6 +581,16 @@ def test_verify_small(capsys):
     assert '"failures": 0' in out
 
 
+def test_verify_stdout_is_pinned(capsys):
+    # sha256 of every line of the certifier's sweep over k = 3 and 4 up to
+    # n = 7: which checks run, in what order, and each verdict.
+    code, out, _ = run_cli(capsys, "verify", "--exhaustive", "--max-n", "7")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {"checks": 45, "failures": 0}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "71b2a3f4c846937cabf2ec536a8722823021775c481a634d9a418193721895e5")
+
+
 def test_verify_counts_algorithm_faults(capsys, monkeypatch):
     # Only the floor errors skip a check; any other ScaleError is a failure
     # that names its instrument, n and algorithm.

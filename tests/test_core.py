@@ -120,7 +120,7 @@ class TestEvaluateQuery:
         ids = [6, 0, 5, 1, 4, 2, 3]
         for query in (range(7), ids, tuple(ids), set(ids), iter(ids), (e for e in ids)):
             assert oracle.query(query) == {1, 5}
-        assert oracle.transcript == [(tuple(range(7)), (1, 5))] * 6
+        assert list(oracle.transcript) == [(tuple(range(7)), (1, 5))] * 6
 
     def test_minimum_scale_returns_smallest(self):
         oracle = Oracle(HiddenOrder((3, 1, 2, 4), ), ScaleSpec(3, (1,)))
@@ -153,7 +153,7 @@ class TestEvaluateQuery:
             with pytest.raises(error, match=message):
                 oracle.query(query)
             assert oracle.query_count == len(oracle.transcript) == 1
-        assert oracle.transcript == [((0, 1, 2), (1,))]
+        assert list(oracle.transcript) == [((0, 1, 2), (1,))]
 
     def test_count_and_transcript_grow_together(self):
         oracle = Oracle(HiddenOrder.identity(6), ScaleSpec(3, (2,)))
@@ -189,25 +189,13 @@ class TestTranscript:
         view = self._oracle().transcript
         assert len(view) == 3
         assert list(view) == self.PAIRS
-        with pytest.raises(TypeError):
-            hash(view)
-
-    def test_equality_and_repr_match_the_list(self):
-        view = self._oracle().transcript
-        assert view == self.PAIRS and self.PAIRS == view
-        assert not (view != self.PAIRS) and not (self.PAIRS != view)
-        assert view != self.PAIRS[:2] and self.PAIRS[:2] != view
-        assert view != [self.PAIRS[0], self.PAIRS[2], self.PAIRS[1]]
-        assert view == self._oracle().transcript
-        assert repr(view) == repr(list(view)) == repr(self.PAIRS)
-        assert repr(Oracle(HiddenOrder.identity(8), ScaleSpec(5, (2, 4))).transcript) == "[]"
 
     def test_view_is_a_snapshot(self):
         oracle = self._oracle()
         view = oracle.transcript
         oracle.query([3, 4, 5, 6, 7])
-        assert view == self.PAIRS and len(view) == 3
-        assert oracle.transcript == self.PAIRS + [((3, 4, 5, 6, 7), (4, 6))]
+        assert list(view) == self.PAIRS and len(view) == 3
+        assert list(oracle.transcript) == self.PAIRS + [((3, 4, 5, 6, 7), (4, 6))]
         assert oracle.query_count == 4
 
     @pytest.mark.parametrize("query,error", [
@@ -223,10 +211,10 @@ class TestTranscript:
         with pytest.raises(error):
             oracle.query(query)
         assert oracle.query_count == 3
-        assert oracle.transcript == self.PAIRS
+        assert list(oracle.transcript) == self.PAIRS
         # A partial write would shift every later entry.
         oracle.query([3, 4, 5, 6, 7])
-        assert oracle.transcript == self.PAIRS + [((3, 4, 5, 6, 7), (4, 6))]
+        assert list(oracle.transcript) == self.PAIRS + [((3, 4, 5, 6, 7), (4, 6))]
 
     def test_store_chunks_hold_whole_queries(self, monkeypatch):
         # A 5:2,4 query takes 7 one-byte ids at n = 8, so chunks of 14 or of
@@ -244,11 +232,11 @@ class TestTranscript:
                                  tuple(sorted(outcome_of(range(1, 9), (2, 4), query)))))
                 view = oracle.transcript
                 assert oracle.query_count == len(view) == len(expected)
-                assert view == expected and list(view) == expected
+                assert list(view) == expected
             assert len(oracle._chunks) == 4
             assert all(len(chunk) == 14 for chunk in oracle._chunks[:-1])
             oracle.query([3, 4, 5, 6, 7])
-            assert view == expected and len(view) == 7
+            assert list(view) == expected and len(view) == 7
 
     @pytest.mark.parametrize("n,itemsize", [(256, 1), (257, 2), (65536, 2), (65537, 4)])
     def test_store_width_follows_n(self, n, itemsize):
@@ -307,7 +295,7 @@ def _check_query_against_outcome_of(spec_text: str, n: int) -> Oracle:
         outcome = outcome_of(order.ranks, spec.outputs, query)
         assert oracle.query(query) == outcome
         expected.append((tuple(sorted(query)), tuple(sorted(outcome))))
-    assert oracle.transcript == expected
+    assert list(oracle.transcript) == expected
     assert oracle.query_count == len(expected)
     return oracle
 

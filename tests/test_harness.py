@@ -206,6 +206,8 @@ class TestBenchSweep:
         for row in rows:
             assert row["correct"]
             assert 0 < row["ratio"] <= 1
+        # A one-shot iterator of algorithms serves every (n, trial) as well.
+        assert bench_sweep(ScaleSpec(4, (2,)), [20, 40], 2, iter(["online"])) == rows
 
     def test_offline_rows_compare_to_lower_bound(self):
         rows = bench_sweep(ScaleSpec(3, (2,)), [10], 1, ["offline_adjacency"])

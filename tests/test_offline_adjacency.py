@@ -302,6 +302,17 @@ class TestRebuild:
         with pytest.raises(InconsistentAnswersError):
             rebuild_order(adj, [], ScaleSpec(3, (2,)))
 
+    def test_answers_that_leave_two_readings_are_refused(self):
+        # Path 0-1-2 with outside {3, 4, 5}: the answers hold for middle
+        # 2, 1, 0 with S = {4} and with S = {5}, and no answer tells them apart.
+        adj = AdjacencyMap({0, 1, 2})
+        adj.neighbors[0].discard(2)
+        adj.neighbors[2].discard(0)
+        transcript = [((0, 1, 2, 3), (1,)), ((0, 1, 4, 5), (1,))]
+        with pytest.raises(InconsistentAnswersError,
+                           match="^2 orderings match the answers; ambiguity beyond reflection$"):
+            rebuild_order(adj, transcript, ScaleSpec(4, (2,)))
+
 
 # Multi-output sizes respect the empirical completeness floor n > 2k + 3*rho.
 @pytest.mark.parametrize("spec,n", [

@@ -485,7 +485,7 @@ def test_offline_sweep_is_pinned():
                             res = sort(oracle)
                         except ScaleError as exc:
                             res = type(exc).__name__
-                        digest.update(repr((oracle.transcript, res)).encode())
+                        digest.update(repr((list(oracle.transcript), res)).encode())
                         count += 1
     assert count == 96
     assert digest.hexdigest() == PINNED_OFFLINE_SWEEP

@@ -8,11 +8,10 @@ reach fails here.  Every private top-level function and method must be named
 somewhere in the package other than its own definition, so a helper left
 behind by a refactor fails too.  Only `ScaleSpec`'s own members call
 `.mirrored()`, so `ScaleSpec.read_side` stays the one place that decides
-whether an instrument is read as its mirror.  Only `harness` calls
-`consistent_orders`, so the n! enumeration and its cap serve the certifier
-alone.  No module imports `gc`: the benchmark rescales its timings by a
-reference loop whose speed the collector moves, so a collector change
-cannot be measured until that loop allocates nothing (ROADMAP item 1).
+whether an instrument is read as its mirror.  No module imports `gc`: the
+benchmark rescales its timings by a reference loop whose speed the
+collector moves, so a collector change cannot be measured until that loop
+allocates nothing (ROADMAP item 1).
 """
 
 import ast
@@ -89,12 +88,6 @@ def test_only_scale_spec_calls_mirrored():
                 continue
             calls += [f"{path.name}:{line}" for line in _calls(node, "mirrored")]
     assert not calls, "mirrored() called outside ScaleSpec: " + ", ".join(calls)
-
-
-def test_only_the_harness_calls_consistent_orders():
-    calls = [f"{path.name}:{line}" for path in PACKAGE if path.name != "harness.py"
-             for line in _calls(ast.parse(path.read_text(), str(path)), "consistent_orders")]
-    assert not calls, "consistent_orders() called outside harness: " + ", ".join(calls)
 
 
 def test_the_package_does_not_import_gc():
