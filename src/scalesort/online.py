@@ -7,8 +7,8 @@ candidate, oriented by segment size when the sizes differ.  The staged
 pipeline then grows a prefix S' of the first ts - 1 elements by re-running
 the first pass on the shrinking set, extracts the rest through a k'-ary
 block hierarchy of reduced (k', 1) queries that always include S', and
-orders the leftover prefix elements by a max knockout padded by known-large
-elements.  A singleton (k, t) instrument is its s = 1 case, where S' is S.
+orders the leftover prefix elements by max knockouts, reduced from the
+top.  A singleton (k, t) instrument is its s = 1 case, where S' is S.
 Instruments reporting a run of positions 1..j identify the unorderable end
 block by keep-elimination instead of growing a prefix.  `_sort` hands every
 stage `spec.read_side` (k-j+1..k reads as 1..j) and mirrors such a result back.
@@ -225,34 +225,34 @@ def _ordered_by_extraction(items: list[int], branching: int, find_min):
         yield value
 
 
-def _min_finder(oracle, prefix: list[int], pad_pool: list[int], branching: int):
-    """Query closure returning the minimum of a block of at most `branching` elements.
+def _isolator(oracle, fixed: list[int], fill: Iterable[int], width: int):
+    """Reduced-instrument closure returning the one id of a group of at most `width`.
 
-    Each query is block + prefix + pads; the prefix occupies the bottom of
-    the instrument and the pads are known larger than any block element, so
-    exactly one answered element lies outside the prefix: the block minimum.
-    The oracle sorts a query's ids, so the prefix-plus-pads tail of each
-    block size is built once.
+    Each query is group + fixed + the lowest-labelled ids of `fill`, k ids in
+    all.  The fixed ids take every output but one, and the fill ranks past the
+    group, away from it, so one answered id lies outside `fixed`: the minimum
+    (fixed below, fill above) or the maximum (fixed above, fill below).  The
+    oracle sorts a query's ids, so the tail of each group size is built once.
     """
-    fill_set = frozenset(prefix)
-    pads = sorted(pad_pool)
-    # tails[size] completes a block of `size`; None where the pads run short.
-    tails = [prefix + pads[:branching - size] if branching - size <= len(pads) else None
-             for size in range(branching + 1)]
+    fixed_set = frozenset(fixed)
+    pads = sorted(fill)
+    # tails[size] completes a group of `size`; None where the fill runs short.
+    tails = [fixed + pads[:width - size] if width - size <= len(pads) else None
+             for size in range(width + 1)]
     query = oracle.query
 
-    def find_min(block: list[int]) -> int:
-        tail = tails[len(block)]
+    def isolate(group: list[int]) -> int:
+        tail = tails[len(group)]
         if tail is None:
             raise PreconditionError("pad pool exhausted while sizing a query")
-        extra = query(block + tail) - fill_set
+        extra = query(group + tail) - fixed_set
         if len(extra) == 1:
             (value,) = extra
-            if value in block:
+            if value in group:
                 return value
         raise InconsistentAnswersError("reduced instrument did not isolate one block element")
 
-    return find_min
+    return isolate
 
 
 def singleton_sort(oracle) -> SortResult:
@@ -322,28 +322,20 @@ def _staged_sort(oracle, spec: ScaleSpec, stats: MultiSortStats) -> SortResult:
 
     # Reduce to a (k', 1) instrument: every query includes S'; pads from L.
     middle_rest = sorted(set(universe) - sprime - l_set)
-    find_min = _min_finder(oracle, sorted(sprime), sorted(l_set), spec.k_prime)
+    find_min = _isolator(oracle, sorted(sprime), l_set, spec.k_prime)
     middle = list(_ordered_by_extraction(middle_rest, spec.k_prime, find_min))
 
     # Sort S' minus S by repeated max knockouts, each maximum going to the
-    # front of the middle: each query holds the champion and t1 - 1
-    # challengers, known-small pads from S when a batch runs short, and
-    # k - t1 known-large pads on top.
-    extra_from_mid = (k - t1) - len(l_set)
-    if extra_from_mid > len(middle):
-        raise PreconditionError("not enough sorted elements to pad the max instrument")
-    pads_large = sorted(l_set) + middle[len(middle) - extra_from_mid:]
-    pads_large_set = set(pads_large)
-    small_pool = sorted(s_first)
+    # front of the middle: the isolator fixes the k - t1 known-large pads
+    # above each champion and its t1 - 1 challengers, and fills a batch that
+    # runs short from S below.
+    pads_large = sorted(l_set) + middle[len(middle) - (k - t1 - len(l_set)):]
+    max_of = _isolator(oracle, pads_large, s_first, t1)
     remnant = sorted(sprime - s_first)
     while remnant:
         champ = remnant[0]
         for i in range(1, len(remnant), t1 - 1):
-            group = [champ] + remnant[i:i + t1 - 1]
-            top = oracle.query(group + small_pool[:t1 - len(group)] + pads_large) - pads_large_set
-            if len(top) != 1:
-                raise InconsistentAnswersError("max instrument did not isolate one element")
-            (champ,) = top
+            champ = max_of([champ] + remnant[i:i + t1 - 1])
         remnant.remove(champ)
         middle.insert(0, champ)
 
@@ -351,8 +343,6 @@ def _staged_sort(oracle, spec: ScaleSpec, stats: MultiSortStats) -> SortResult:
     flip = False
     if not labelled and not spec.is_symmetric:
         # One check query over known middle elements pins the direction.
-        if len(middle) < k:
-            raise PreconditionError("middle too small for the direction check")
         probe = middle[:k]
         actual = oracle.query(probe)
         flip = actual != frozenset(probe[t - 1] for t in spec.outputs)
@@ -386,7 +376,7 @@ def _prefix_run_sort(oracle, spec: ScaleSpec, stats: MultiSortStats) -> SortResu
 
     prefix = sorted(block)[:j - 1]
     rest = sorted(working - block)
-    find_min = _min_finder(oracle, prefix, sorted(l_set), spec.k_prime)
+    find_min = _isolator(oracle, prefix, l_set, spec.k_prime)
     middle = tuple(sorted(block)) + tuple(_ordered_by_extraction(rest, spec.k_prime, find_min))
     return SortResult(middle, frozenset(), l_set, RESOLVED,
                       oracle.query_count - start)

@@ -598,12 +598,12 @@ def test_verify_counts_algorithm_faults(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out.splitlines()[-1]) == {"checks": 16, "failures": 0}
 
-    def broken_min_finder(*args):
-        def find_min(block):
+    def broken_isolator(*args):
+        def isolate(group):
             raise InconsistentAnswersError("reduced instrument did not isolate one block element")
-        return find_min
+        return isolate
 
-    monkeypatch.setattr(online, "_min_finder", broken_min_finder)
+    monkeypatch.setattr(online, "_isolator", broken_isolator)
     code, out, _ = run_cli(capsys, "verify", "--exhaustive", "--max-n", "5")
     assert code == 1
     *lines, summary = out.splitlines()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from scalesort.core import (
     HiddenOrder,
+    InconsistentAnswersError,
     Oracle,
     PreconditionError,
     RESOLVED,
@@ -23,7 +24,7 @@ from scalesort.core import (
 from scalesort.online import (
     MultiSortStats,
     _first_pass,
-    _min_finder,
+    _isolator,
     _ordered_by_extraction,
     _partition,
     multi_elimination_bound,
@@ -120,14 +121,14 @@ class TestTournament:
 
     def test_singleton_element_costs_nothing(self):
         oracle = Oracle(HiddenOrder.identity(8), ScaleSpec(4, (2,)))
-        find_min = _min_finder(oracle, [0], [6, 7], oracle.spec.k_prime)
+        find_min = _isolator(oracle, [0], [6, 7], oracle.spec.k_prime)
         assert list(_ordered_by_extraction([3], oracle.spec.k_prime, find_min)) == [3]
         assert oracle.query_count == 0
 
     def test_stage_bound_and_order(self):
         spec = ScaleSpec(4, (2,))
         oracle = Oracle(HiddenOrder.identity(30), spec)
-        find_min = _min_finder(oracle, [0], [28, 29], spec.k_prime)
+        find_min = _isolator(oracle, [0], [28, 29], spec.k_prime)
         middle = list(range(1, 28))
         assert list(_ordered_by_extraction(middle, spec.k_prime, find_min)) == middle
         assert oracle.query_count <= 2 * 3 * 27  # depth 3 over 27 items
@@ -143,7 +144,7 @@ class TestTournament:
         spec = ScaleSpec(3, (1,))
         oracle = Oracle(HiddenOrder.identity(29), spec)
         find_min_calls = []
-        inner = _min_finder(oracle, [], [27, 28], 3)
+        inner = _isolator(oracle, [], [27, 28], 3)
 
         def find_min(block):
             find_min_calls.append(1)
@@ -227,6 +228,37 @@ class TestMultiPipeline:
             res = sort_online(oracle)
             assert res.orientation == RESOLVED
             assert equivalent_up_to_ambiguity(res, order, spec)
+
+    def test_a_lying_knockout_answer_is_inconsistent(self):
+        # One lie: the first query holding one member of S whose answer names
+        # a member of S' - S has its largest such id swapped for that member.
+        # Here that is a short max-knockout batch padded from S, so the lie
+        # names the pad instead of the batch maximum.
+        spec, order = ScaleSpec(8, (3, 7)), HiddenOrder.from_seed(40, 7)
+        oracle = Oracle(order, spec)
+        small, rest = set(order.by_rank[:2]), set(order.by_rank[2:6])
+
+        class LyingOnce:
+            def __init__(self):
+                self.spec, self.n, self.lied = spec, oracle.n, False
+
+            @property
+            def query_count(self):
+                return oracle.query_count
+
+            def query(self, elements):
+                ids = list(elements)
+                out, pads = oracle.query(ids), small.intersection(ids)
+                named = out & rest
+                if not self.lied and len(pads) == 1 and named:
+                    self.lied = True
+                    out = out - {max(named, key=order.ranks.__getitem__)} | pads
+                return out
+
+        liar = LyingOnce()
+        with pytest.raises(InconsistentAnswersError, match="did not isolate one block element"):
+            sort_online(liar)
+        assert liar.lied
 
     def test_per_stage_counts(self):
         spec = ScaleSpec(6, (2, 5))
